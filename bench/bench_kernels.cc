@@ -137,25 +137,40 @@ BM_LutLookupInt8(benchmark::State &state)
 }
 BENCHMARK(BM_LutLookupInt8)->Arg(64)->Arg(512);
 
+/**
+ * @p ledger false: 8 groups x 8 lanes of 16 columns. @p ledger true:
+ * the tuner's UPMEM mapping for the QKV projection of the ledger config
+ * (n 512, cb 64, f 768): 4 groups x 256 lanes of 3 columns each.
+ */
 void
-BM_DistributedLutExecutor(benchmark::State &state)
+BM_DistributedLutExecutor(benchmark::State &state, bool ledger)
 {
-    const std::size_t n = 256;
-    LutLayer layer = makeLayer(64, 128, 4, 16);
+    const std::size_t n = ledger ? 512 : 256;
+    const std::size_t h = ledger ? 256 : 64;
+    LutLayer layer = makeLayer(h, ledger ? 768 : 128, 4, 16);
     Rng rng(12);
-    Tensor input(n, 64);
+    Tensor input(n, h);
     input.fillGaussian(rng);
     IndexMatrix idx = layer.closestCentroidSearch(input);
 
     LutMapping mapping;
-    mapping.ns_tile = 32;  // 8 groups
-    mapping.fs_tile = 16;  // 8 lanes
-    mapping.nm_tile = 8;
-    mapping.fm_tile = 8;
-    mapping.cbm_tile = 16;
-    mapping.scheme = LutLoadScheme::CoarseGrain;
-    mapping.cb_load_tile = 2;
-    mapping.f_load_tile = 8;
+    if (ledger) {
+        mapping.ns_tile = 128;
+        mapping.fs_tile = 3;
+        mapping.nm_tile = 128;
+        mapping.fm_tile = 3;
+        mapping.cbm_tile = 64;
+        mapping.scheme = LutLoadScheme::Static;
+    } else {
+        mapping.ns_tile = 32;
+        mapping.fs_tile = 16;
+        mapping.nm_tile = 8;
+        mapping.fm_tile = 8;
+        mapping.cbm_tile = 16;
+        mapping.scheme = LutLoadScheme::CoarseGrain;
+        mapping.cb_load_tile = 2;
+        mapping.f_load_tile = 8;
+    }
 
     const PimPlatformConfig platform = upmemPlatform();
     for (auto _ : state) {
@@ -164,7 +179,8 @@ BM_DistributedLutExecutor(benchmark::State &state)
         benchmark::DoNotOptimize(result.output.data());
     }
 }
-BENCHMARK(BM_DistributedLutExecutor);
+BENCHMARK_CAPTURE(BM_DistributedLutExecutor, wide_lanes, false);
+BENCHMARK_CAPTURE(BM_DistributedLutExecutor, ledger_fs3, true);
 
 // --------------------------------------------------------------------
 // --json harness: per-impl micro-kernel timing + bit-exactness check.

@@ -5,16 +5,6 @@
 
 namespace pimdl {
 
-namespace {
-
-/**
- * Rows per parallel block for the CCS / lookup loops: large enough to
- * amortize the per-block dispatch, small enough to load-balance.
- */
-constexpr std::size_t kRowGrain = 16;
-
-} // namespace
-
 LutLayer
 LutLayer::convert(const Tensor &w, CodebookSet codebooks,
                   std::vector<float> bias)

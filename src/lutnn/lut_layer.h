@@ -28,6 +28,10 @@ namespace pimdl {
 class LutLayer
 {
   public:
+    /** Rows per parallel block of the CCS / lookup loops: large enough
+     * to amortize the per-block dispatch, small enough to load-balance. */
+    static constexpr std::size_t kRowGrain = 16;
+
     LutLayer() = default;
 
     /**

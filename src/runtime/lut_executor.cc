@@ -109,53 +109,50 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     result.output = Tensor(shape.n, shape.f);
     Tensor &out = result.output;
 
-    // The bit-faithful reduction of one (ns_tile x fs_tile) tile for
-    // group g / lane l, written row-major into dst with the given
-    // stride. The dispatched micro-kernels guarantee the operation
-    // order is identical no matter which PE — or the host — executes
-    // the tile, and no matter which ISA variant runs it, which is
-    // what keeps degraded-mode and fallback outputs bit-exact.
+    // Reduces @p nrows index rows from idx0 against LUT columns
+    // [col0, col0 + ncols), bias included, into dst (row stride
+    // @p stride). idx0 is the host index tensor or a wave's staged copy
+    // of it (identical u16 values, so staging is bit-exact). The kernel
+    // contract fixes each column's accumulation order (codebook order)
+    // whatever column window, PE, ISA variant or host runs it, so a
+    // per-PE tile (l * fs_tile, fs_tile) and a full-width row (0, F)
+    // yield the same bits, as do degraded-mode and fallback recomputes.
     const kernels::KernelTable &kt = kernels::best();
-    kernels::recordLutWork(shape.n, cb, mapping.fs_tile,
-                           quantized ? sizeof(std::int8_t)
-                                     : sizeof(float));
-    // Reduces @p nrows index rows starting at idx0 (stride idx_stride)
-    // against lane l's LUT columns. The index base is a parameter so
-    // the same kernel loop runs against the host tensor directly or
-    // against a wave's staged copy — identical u16 values either way,
-    // which is what makes the staged path bit-exact.
+    const std::vector<float> &bias = layer.bias();
+    const float scale = quantized ? layer.quantScale() : 1.0f;
     const auto computeRows = [&](const std::uint16_t *idx0,
-                                 std::size_t idx_stride,
                                  std::size_t nrows, float *dst,
-                                 std::size_t stride, std::size_t l) {
-        const std::size_t col0 = l * mapping.fs_tile;
-        if (quantized) {
-            // INT8 LUT entries, INT32 on-PE accumulators; the host
-            // dequantizes after gathering.
-            const float scale = layer.quantScale();
-            std::vector<std::int32_t> acc(mapping.fs_tile);
-            for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_i8(idx0 + r * idx_stride, cb, shape.ct,
-                                layer.quantLutData(), shape.f, col0,
-                                mapping.fs_tile, acc.data());
-                float *row = dst + r * stride;
-                for (std::size_t fcol = 0; fcol < mapping.fs_tile; ++fcol)
+                                 std::size_t stride, std::size_t col0,
+                                 std::size_t ncols) {
+        // INT8 LUT entries use INT32 on-PE accumulators, dequantized on
+        // the host after gathering.
+        std::vector<std::int32_t> acc(quantized ? ncols : 0);
+        for (std::size_t r = 0; r < nrows; ++r, idx0 += indices.cols) {
+            float *row = dst + r * stride;
+            if (quantized) {
+                kt.lut_accum_i8(idx0, cb, shape.ct, layer.quantLutData(),
+                                shape.f, col0, ncols, acc.data());
+                for (std::size_t fcol = 0; fcol < ncols; ++fcol)
                     row[fcol] = static_cast<float>(acc[fcol]) * scale;
+            } else {
+                kt.lut_accum_f32(idx0, cb, shape.ct, layer.lutData(),
+                                 shape.f, col0, ncols, row);
             }
-        } else {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_f32(idx0 + r * idx_stride, cb, shape.ct,
-                                 layer.lutData(), shape.f, col0,
-                                 mapping.fs_tile, dst + r * stride);
+            // Bias: a separate host-side rounding, as lookup() applies.
+            if (!bias.empty()) {
+                for (std::size_t fcol = 0; fcol < ncols; ++fcol)
+                    row[fcol] += bias[col0 + fcol];
             }
         }
     };
 
+    // Tile (g, l) of the fault ladder, which needs the per-PE grid.
     const auto computeTile = [&](float *dst, std::size_t stride,
                                  std::size_t g, std::size_t l) {
         computeRows(indices.data.data() +
                         g * mapping.ns_tile * indices.cols,
-                    indices.cols, mapping.ns_tile, dst, stride, l);
+                    mapping.ns_tile, dst, stride, l * mapping.fs_tile,
+                    mapping.fs_tile);
     };
 
     const auto outTilePtr = [&](std::size_t g, std::size_t l) {
@@ -270,16 +267,23 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
                 tickets[(w + 1) % 2] = stageWave(w + 1);
             const auto *staged =
                 reinterpret_cast<const std::uint16_t *>(buf.data());
-            parallelFor(groups * lanes, [&](std::size_t pe) {
-                const std::size_t g = pe / lanes;
-                const std::size_t l = pe % lanes;
-                computeRows(staged + g * nrows * indices.cols,
-                            indices.cols, nrows,
-                            out.rowPtr(g * mapping.ns_tile +
-                                       waveRow0(w)) +
-                                l * mapping.fs_tile,
-                            out.cols(), l);
-            });
+            // Full-width rows, as on the unstaged path below. Staged row
+            // i is wave row i % nrows of group i / nrows; a block splits
+            // where it crosses into the next group, whose output rows
+            // start ns_tile further down.
+            const auto waveBlock = [&](std::size_t b, std::size_t e) {
+                for (std::size_t i = b; i < e;) {
+                    const std::size_t r = i % nrows;
+                    const std::size_t len = std::min(e - i, nrows - r);
+                    const std::size_t row =
+                        (i / nrows) * mapping.ns_tile + waveRow0(w) + r;
+                    computeRows(staged + i * indices.cols, len,
+                                out.rowPtr(row), out.cols(), 0, shape.f);
+                    i += len;
+                }
+            };
+            parallelForBlocked(groups * nrows, LutLayer::kRowGrain,
+                               waveBlock);
             const transfer::StagedBurstReport br =
                 chan->report(tickets[w % 2]);
             chan->release(tickets[w % 2]);
@@ -303,12 +307,15 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         g_overlap.set(result.transfer.overlapFrac());
         span.attr("transfer_hidden_s", result.transfer.hidden_model_s);
     } else if (faults == nullptr) {
-        // Fault-free fast path: each simulated PE (group g, lane l)
-        // reduces its own tile straight into the output.
-        parallelFor(groups * lanes, [&](std::size_t pe) {
-            computeTile(outTilePtr(pe / lanes, pe % lanes), out.cols(),
-                        pe / lanes, pe % lanes);
-        });
+        // Fault-free execution reduces whole output rows, one (0, F)
+        // kernel call per row: legality requires fs_tile | F, so a
+        // group's lanes partition its columns exactly and the rows
+        // equal the per-lane tiles bit for bit.
+        const auto rowBlock = [&](std::size_t b, std::size_t e) {
+            computeRows(indices.data.data() + b * indices.cols, e - b,
+                        out.rowPtr(b), out.cols(), 0, shape.f);
+        };
+        parallelForBlocked(shape.n, LutLayer::kRowGrain, rowBlock);
     } else {
         const std::size_t tiles = groups * lanes;
 
@@ -350,9 +357,8 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             c_dead.add(hard_failed);
             remap = planDegradedLutRemap(shape, mapping, failed);
             if (!remap.legal) {
-                // Ladder bottom: graceful host fallback. lookup() /
-                // lookupQuantized() applies the bias itself, so return
-                // before the distributed bias pass.
+                // Ladder bottom: graceful host fallback (lookup() /
+                // lookupQuantized() apply the bias and count the work).
                 obs::TraceSpan fb("fault.host_fallback");
                 fb.attr("dead_pes",
                         static_cast<std::uint64_t>(hard_failed));
@@ -525,14 +531,11 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         span.attr("fault_added_s", result.fault.added_latency_s);
     }
 
-    // Bias is applied host-side after gathering (element-wise op).
-    if (!layer.bias().empty()) {
-        for (std::size_t r = 0; r < out.rows(); ++r) {
-            float *dst = out.rowPtr(r);
-            for (std::size_t fcol = 0; fcol < out.cols(); ++fcol)
-                dst[fcol] += layer.bias()[fcol];
-        }
-    }
+    // Logical work: the full N x CB x F reduction, as lookup() counts it
+    // (the host fallback above returns early; lookup() counts its own).
+    kernels::recordLutWork(shape.n, cb, shape.f,
+                           quantized ? sizeof(std::int8_t)
+                                     : sizeof(float));
     return result;
 }
 

@@ -4,11 +4,14 @@
  * DRAM-PIM PEs under a sub-LUT partition (paper Figure 8-(a)), paired
  * with the analytical latency of the mapping.
  *
- * The PE computation is bit-faithful: each PE owns its (ns_tile x
- * fs_tile) output tile, receives the broadcast index tile of its group
- * and the LUT tile of its lane, and reduces locally — exactly the
- * dataflow the partition scheme prescribes (no inter-PE traffic, no
- * partial-sum merging on the host).
+ * The per-PE tile grid — each PE owns an (ns_tile x fs_tile) output
+ * tile, reduced locally from its group's index tile and its lane's LUT
+ * tile — governs the modeled cost, the lut.pe_kernels count and the
+ * fault ladder. Fault-free execution computes full-width output rows
+ * (one kernel call over all F columns per row) instead: legality
+ * requires fs_tile | F, so the lanes partition the columns exactly, and
+ * the kernel contract fixes each column's accumulation order, so the
+ * rows are bit-identical to the per-PE tiles and to lookup().
  *
  * Execution is optionally fault-aware (src/fault): a seed-driven
  * injector can kill PEs, crash kernel attempts, flip bits in resident
