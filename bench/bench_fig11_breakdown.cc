@@ -12,9 +12,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "plan/lowering.h"
 #include "runtime/engine.h"
-#include "transfer/transfer.h"
 
 using namespace pimdl;
 using namespace pimdl::bench;
@@ -94,36 +92,6 @@ main(int argc, char **argv)
                  "because it has the largest inner dim, O least because "
                  "it is the smallest layer.\n";
 
-    printBanner(std::cout,
-                "Transfer-engine overlay: flat payloads vs coalesced "
-                "bursts (link seconds)");
-    const PimPlatformConfig upmem = upmemPlatform();
-    TablePrinter bursts({"Model", "Payloads", "Bursts", "Merged",
-                         "Flat link s", "Coalesced link s", "Speedup"});
-    LoweringOptions lower_opts;
-    lower_opts.platform = &upmem;
-    for (const TransformerConfig &model : models) {
-        Plan plan = lowerTransformer(model, v4, ExecutionMode::PimDl,
-                                     lower_opts);
-        const transfer::BurstPlan bp =
-            transfer::planTransferBursts(plan, upmem);
-        const double flat_s = bp.flatSeconds(upmem);
-        const double coal_s = bp.burstSeconds(upmem);
-        std::size_t pieces = 0;
-        for (const transfer::TransferBurst &b : bp.bursts)
-            pieces += b.pieces();
-        bursts.addRow({model.name, std::to_string(pieces),
-                       std::to_string(bp.bursts.size()),
-                       std::to_string(bp.merged_pieces),
-                       TablePrinter::fmt(flat_s, 4),
-                       TablePrinter::fmt(coal_s, 4),
-                       TablePrinter::fmtRatio(flat_s / coal_s)});
-    }
-    bursts.print(std::cout);
-    std::cout << "\nStatic LUT re-staging payloads merge into scatter "
-                 "bursts (fewer setups, higher curve point); see "
-                 "bench_transfer for the end-to-end engine pricing with "
-                 "residency and wave overlap.\n";
     pimdl::bench::writeBenchArtifacts(opts);
     return 0;
 }

@@ -3,22 +3,21 @@
  * Transfer-engine benchmark: what the host<->PIM movement layer buys.
  *
  *  1. Achieved link bandwidth vs burst size on the platform's
- *     saturating curves (the latency-dominated small-payload regime
- *     the coalescer escapes).
- *  2. Burst formation over the lowered BERT-base (batch 8) plan: flat
- *     per-payload pricing vs coalesced whole-burst pricing.
- *  3. Transaction-backend cross-check: the same burst priced as an
+ *     saturating curves (the latency-dominated small-payload regime).
+ *  2. Transaction-backend cross-check: the same burst priced as an
  *     explicit command stream.
- *  4. Resident-LUT placement on a repeated-request serving trace
+ *  3. Resident-LUT placement on a repeated-request serving trace
  *     (hit rate must exceed 90%).
- *  5. An executable staging demo through runDistributedLut: double-
- *     buffered wave broadcast, residency hits, and a faulted round
- *     that exercises the per-burst stall/corrupt draws.
- *  6. A serving-simulator baseline (populates the base metrics schema).
- *  7. Fig. 11-style end-to-end breakdown: analytical per-tile transfer
- *     pricing vs the engine overlay (coalescing + residency + wave
- *     overlap); the bench fails unless the end-to-end speedup reaches
- *     1.3x on BERT-base batch 8.
+ *  4. An executable staging demo through runDistributedLut: a cold
+ *     run that stages the LUT, a warm residency hit, and a faulted
+ *     round that exercises the per-burst stall/corrupt draws.
+ *  5. A serving-simulator baseline (populates the base metrics schema).
+ *  6. Fig. 11-style end-to-end breakdown of BERT-base batch 8: eq. 3's
+ *     per-tile transfer terms vs the engine's pricing of the plan's
+ *     unique payload bytes, minus steady-state residency. Every row
+ *     comes from the lowered plan, and the bench fails unless each
+ *     column's rows sum to its total within 1e-9 and the end-to-end
+ *     speedup reaches 1.3x.
  *
  * `--json [path]` additionally writes BENCH_transfer.json
  * (schema pimdl.bench.transfer.v1) for scripts/check_bench.py; every
@@ -27,6 +26,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -41,7 +41,6 @@
 #include "common/table.h"
 #include "lutnn/converter.h"
 #include "obs/json.h"
-#include "plan/lowering.h"
 #include "runtime/engine.h"
 #include "runtime/lut_executor.h"
 #include "runtime/serving.h"
@@ -189,68 +188,10 @@ main(int argc, char **argv)
     bw.print(std::cout);
     std::cout << "\nSmall payloads are setup-latency bound: the curve "
                  "bw(B) = peak * B / (B + half) plus a fixed per-burst "
-                 "setup is what burst coalescing climbs.\n";
+                 "setup.\n";
 
     // ---------------------------------------------------------------
-    // 2. Burst formation over the lowered BERT-base (batch 8) plan.
-    // ---------------------------------------------------------------
-    printBanner(std::cout,
-                "Burst formation: BERT-base batch 8, lowered plan");
-    TransformerConfig model = bertBase();
-    model.batch = 8;
-
-    LoweringOptions lower_opts;
-    lower_opts.platform = &upmem;
-    Plan flat_plan =
-        lowerTransformer(model, v4, ExecutionMode::PimDl, lower_opts);
-    Plan coal_plan =
-        lowerTransformer(model, v4, ExecutionMode::PimDl, lower_opts);
-
-    transfer::TransferPolicy flat_policy;
-    flat_policy.coalesce_lut_staging = false;
-    const transfer::BurstPlan flat =
-        transfer::planTransferBursts(flat_plan, upmem, flat_policy);
-    const transfer::BurstPlan coal =
-        transfer::planTransferBursts(coal_plan, upmem);
-
-    const double flat_s = flat.flatSeconds(upmem);
-    const double coal_s = coal.burstSeconds(upmem);
-    TablePrinter form({"Formation", "Bursts", "Merged pieces",
-                       "Payload MB", "Link s", "Speedup"});
-    form.addRow({"flat (per payload)", std::to_string(flat.bursts.size()),
-                 "0", TablePrinter::fmt(flat.total_bytes / 1e6, 1),
-                 TablePrinter::fmt(flat_s, 4), "1.00x"});
-    form.addRow({"coalesced", std::to_string(coal.bursts.size()),
-                 std::to_string(coal.merged_pieces),
-                 TablePrinter::fmt(coal.total_bytes / 1e6, 1),
-                 TablePrinter::fmt(coal_s, 4),
-                 TablePrinter::fmtRatio(flat_s / coal_s)});
-    form.print(std::cout);
-    entries.push_back({"coalescing_speedup", flat_s / coal_s});
-
-    double staging_s = 0.0, bcast_s = 0.0, gather_s = 0.0;
-    double staging_bytes = 0.0;
-    for (const transfer::TransferBurst &b : coal.bursts) {
-        const double s =
-            transfer::burstSeconds(upmem, b.pattern, b.bytes);
-        if (b.lut_staging) {
-            staging_s += s;
-            staging_bytes += b.bytes;
-        } else if (b.pattern == transfer::LinkPattern::Broadcast) {
-            bcast_s += s;
-        } else {
-            gather_s += s;
-        }
-    }
-    std::cout << "\nCoalesced split: LUT staging "
-              << TablePrinter::fmt(staging_s, 4) << " s ("
-              << TablePrinter::fmt(staging_bytes / 1e6, 1)
-              << " MB), index broadcast "
-              << TablePrinter::fmt(bcast_s, 4) << " s, output gather "
-              << TablePrinter::fmt(gather_s, 4) << " s.\n";
-
-    // ---------------------------------------------------------------
-    // 3. Transaction-backend cross-check of the burst pricing.
+    // 2. Transaction-backend cross-check of the burst pricing.
     // ---------------------------------------------------------------
     printBanner(std::cout,
                 "Transaction-backend cross-check (burst command stream)");
@@ -274,10 +215,12 @@ main(int argc, char **argv)
     entries.push_back({"txn_agreement", txn_agreement});
 
     // ---------------------------------------------------------------
-    // 4. Resident-LUT placement on a repeated-request trace.
+    // 3. Resident-LUT placement on a repeated-request trace.
     // ---------------------------------------------------------------
     printBanner(std::cout,
                 "Resident-LUT placement: repeated-request serving trace");
+    TransformerConfig model = bertBase();
+    model.batch = 8;
     const std::vector<LinearWorkload> workloads =
         model.linearWorkloads();
     std::vector<double> table_bytes;
@@ -317,11 +260,11 @@ main(int argc, char **argv)
     entries.push_back({"resident_hit_rate", hit_rate});
 
     // ---------------------------------------------------------------
-    // 5. Executable staging demo (double-buffered waves + residency).
+    // 4. Executable staging demo (LUT staging + residency).
     // ---------------------------------------------------------------
     printBanner(std::cout,
                 "Executable staging: runDistributedLut through the "
-                "double-buffered scheduler");
+                "transfer engine");
     LutLayer layer = makeLayerNoBias(32, 48, 4, 16, 70);
     Rng rng(71);
     Tensor input(64, 32);
@@ -339,21 +282,18 @@ main(int argc, char **argv)
     ctx.scheduler = &demo_scheduler;
     ctx.resident = &demo_resident;
     ctx.resident_key = 1;
-    ctx.stage_waves = 4;
 
     const DistributedLutResult cold = runDistributedLut(
         upmem, layer, idx, demo_mapping, false, nullptr, {}, &ctx);
     const DistributedLutResult warm = runDistributedLut(
         upmem, layer, idx, demo_mapping, false, nullptr, {}, &ctx);
 
-    TablePrinter demo({"Run", "Bursts", "Staged KB", "Hidden ms",
-                       "Saved ms", "Model ms", "Engine ms"});
+    TablePrinter demo({"Run", "Bursts", "Staged KB", "Saved ms",
+                       "Model ms", "Engine ms"});
     const auto demoRow = [&](const char *name,
                              const DistributedLutResult &r) {
         demo.addRow({name, std::to_string(r.transfer.bursts),
                      TablePrinter::fmt(r.transfer.staged_bytes / 1e3, 1),
-                     TablePrinter::fmt(r.transfer.hidden_model_s * 1e3,
-                                       4),
                      TablePrinter::fmt(r.transfer.saved_stage_s * 1e3,
                                        4),
                      TablePrinter::fmt(r.modelSeconds() * 1e3, 4),
@@ -362,16 +302,10 @@ main(int argc, char **argv)
     demoRow("cold (stage LUT)", cold);
     demoRow("warm (resident hit)", warm);
     demo.print(std::cout);
-    const double overlap_frac = cold.transfer.overlapFrac();
-    std::cout << "\nOverlap efficiency: "
-              << TablePrinter::fmt(100.0 * overlap_frac, 1)
-              << "% of staged transfer time hidden behind PE compute "
-                 "(4 waves); warm run skips the LUT scatter via "
-                 "residency.\n";
-    entries.push_back({"overlap_frac", overlap_frac});
+    std::cout << "\nThe warm run skips the LUT scatter via residency.\n";
 
-    // One synchronous faulted round: the per-burst stall/corrupt draws
-    // (streams 301+) with deterministic, modeled-seconds penalties.
+    // One faulted round: the per-burst stall/corrupt draws (streams
+    // 301+) with deterministic, modeled-seconds penalties.
     FaultConfig fault_cfg;
     fault_cfg.seed = 2026;
     fault_cfg.transfer_corrupt_rate = 0.35;
@@ -382,22 +316,16 @@ main(int argc, char **argv)
     transfer::TransferScheduler::Options fault_opts;
     fault_opts.clock = &fault_clock;
     fault_opts.faults = &faults;
-    fault_opts.synchronous = true;
     transfer::TransferScheduler faulted(fault_opts);
-    {
-        auto channel = faulted.openChannel("bench.transfer.faulted");
-        for (std::size_t b = 0; b < 32; ++b) {
-            transfer::StageRequest req;
-            req.bytes = 2048;
-            req.modeled_seconds = 50e-6;
-            req.fill = [b](std::uint8_t *dst, std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i)
-                    dst[i] = static_cast<std::uint8_t>(b + i * 3);
-            };
-            const std::size_t ticket = channel->stage(std::move(req));
-            channel->wait(ticket);
-            channel->release(ticket);
-        }
+    for (std::size_t b = 0; b < 32; ++b) {
+        transfer::StageRequest req;
+        req.bytes = 2048;
+        req.modeled_seconds = 50e-6;
+        req.fill = [b](std::uint8_t *dst, std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i)
+                dst[i] = static_cast<std::uint8_t>(b + i * 3);
+        };
+        (void)faulted.stage(std::move(req));
     }
     const transfer::TransferSchedulerStats fault_stats = faulted.stats();
     std::cout << "Faulted round (corrupt 35% / stall 35%, seed 2026): "
@@ -409,7 +337,7 @@ main(int argc, char **argv)
               << TablePrinter::fmt(fault_clock.now(), 1) << " s).\n";
 
     // ---------------------------------------------------------------
-    // 6. Serving-simulator baseline (base metrics schema).
+    // 5. Serving-simulator baseline (base metrics schema).
     // ---------------------------------------------------------------
     printBanner(std::cout,
                 "Serving baseline: BERT-base on UPMEM (analytical)");
@@ -430,75 +358,100 @@ main(int argc, char **argv)
               << " rps.\n";
 
     // ---------------------------------------------------------------
-    // 7. End-to-end: analytical per-tile transfers vs the engine.
+    // 6. End-to-end: analytical per-tile transfers vs the engine.
     // ---------------------------------------------------------------
     printBanner(std::cout,
-                "End-to-end (fig. 11 style): BERT-base batch 8, flat "
-                "payloads vs transfer engine");
-    // The engine overlay re-prices analytical transfer terms, so the
+                "End-to-end (fig. 11 style): BERT-base batch 8, eq. 3 "
+                "transfers vs transfer engine");
+    // The engine re-prices analytical transfer terms, so the
     // decomposition below always runs on the analytical tier (the
-    // transaction tier cross-checks burst pricing in section 3).
+    // transaction tier cross-checks burst pricing in section 2). Every
+    // term comes from the plan the estimate itself costs, so the LUT
+    // shapes carry the platform's output dtype.
     PimDlEngine analytical_engine(upmem, xeon4210Dual());
-    const Scheduler &sched = schedulerFor(SchedulePolicy::Sequential);
+    const Plan plan =
+        analytical_engine.lower(model, v4, ExecutionMode::PimDl);
     const InferenceEstimate est = analytical_engine.estimate(
-        model, v4, ExecutionMode::PimDl, sched);
+        model, v4, ExecutionMode::PimDl,
+        schedulerFor(SchedulePolicy::Sequential));
 
     const AnalyticalBackend analytical(upmem, xeon4210Dual());
-    double tsub_s = 0.0, micro_s = 0.0, launch_s = 0.0;
-    for (std::size_t role = 0; role < workloads.size(); ++role) {
-        const LinearWorkload &w = workloads[role];
-        LutWorkloadShape shape;
-        shape.n = w.n;
-        shape.cb = w.h / v4.subvec_len;
-        shape.ct = v4.centroids;
-        shape.f = w.f;
-        const LutCostBreakdown b =
-            analytical.lutCost(shape, est.per_linear[role].mapping);
-        const double layers = static_cast<double>(model.layers);
-        tsub_s += layers *
-                  (b.t_sub_index + b.t_sub_lut + b.t_sub_output);
-        micro_s += layers * b.microKernelTotal();
-        launch_s += layers * b.kernel_launch;
+    // Eq. 3 per-tile transfer terms and the rest of each LUT op.
+    double tsub_s = 0.0, lut_compute_s = 0.0;
+    // Engine pricing: each plan payload as one burst of its unique
+    // bytes (activations on the broadcast/gather curves, LUT
+    // re-staging on the scatter curve).
+    double act_link_s = 0.0, stage_link_s = 0.0;
+    for (const PlanNode &node : plan.nodes) {
+        if (node.kind == PlanOpKind::LutOp) {
+            const LutCostBreakdown b =
+                analytical.lutCost(node.lut_shape, node.mapping);
+            tsub_s += b.subLutTotal();
+            lut_compute_s += b.total() - b.subLutTotal();
+        } else if (node.kind == PlanOpKind::HostPimTransfer) {
+            const bool up = node.direction == TransferDirection::HostToPim;
+            act_link_s += transfer::burstSeconds(
+                upmem,
+                up ? transfer::LinkPattern::Broadcast
+                   : transfer::LinkPattern::Gather,
+                node.transfer_bytes - node.lut_stage_bytes);
+            stage_link_s += transfer::burstSeconds(
+                upmem, transfer::LinkPattern::Scatter,
+                node.lut_stage_bytes);
+        }
     }
-
-    // Engine pricing of the same unique link bytes: coalesced bursts,
-    // steady-state residency on the staging subset (trace hit rate),
-    // and the executor's wave overlap hiding index broadcast behind
-    // PE compute ((waves-1)/waves of the smaller of the two).
-    const double waves =
-        static_cast<double>(LutTransferContext{}.stage_waves);
-    const double resident_saved_s = hit_rate * staging_s;
-    const double hidden_s =
-        (waves - 1.0) / waves * std::min(bcast_s, micro_s);
+    // Steady-state residency skips the trace's hit share of staging.
+    const double resident_saved_s = hit_rate * stage_link_s;
+    const double repricing_s = tsub_s - (act_link_s + stage_link_s);
     const double engine_total_s =
-        est.total_s - tsub_s + coal_s - resident_saved_s - hidden_s;
-    const double engine_transfer_s =
-        coal_s - resident_saved_s - hidden_s;
+        est.total_s - repricing_s - resident_saved_s;
 
+    struct E2eRow
+    {
+        const char *name;
+        double flat_s;
+        double engine_s;
+    };
+    const E2eRow rows[] = {
+        {"link: eq. 3 per-tile t_sub", tsub_s, 0.0},
+        {"link: payload bursts (activations)", 0.0, act_link_s},
+        {"link: payload bursts (LUT staging)", 0.0, stage_link_s},
+        {"link: resident LUT hits", 0.0, -resident_saved_s},
+        {"LUT micro-kernel + launch", lut_compute_s, lut_compute_s},
+        {"CCS (host)", est.ccs_s, est.ccs_s},
+        {"attention + other", est.attention_s + est.other_s,
+         est.attention_s + est.other_s},
+    };
     TablePrinter e2e({"Component", "Flat s", "Engine s"});
-    e2e.addRow({"host<->PIM transfer (t_sub)",
-                TablePrinter::fmt(tsub_s, 4),
-                TablePrinter::fmt(engine_transfer_s, 4)});
-    e2e.addRow({"LUT micro-kernel + launch",
-                TablePrinter::fmt(micro_s + launch_s, 4),
-                TablePrinter::fmt(micro_s + launch_s, 4)});
-    e2e.addRow({"CCS (host)", TablePrinter::fmt(est.ccs_s, 4),
-                TablePrinter::fmt(est.ccs_s, 4)});
-    e2e.addRow({"attention + other",
-                TablePrinter::fmt(est.attention_s + est.other_s, 4),
-                TablePrinter::fmt(est.attention_s + est.other_s, 4)});
+    double flat_sum = 0.0, engine_sum = 0.0;
+    for (const E2eRow &row : rows) {
+        e2e.addRow({row.name, TablePrinter::fmt(row.flat_s, 4),
+                    TablePrinter::fmt(row.engine_s, 4)});
+        flat_sum += row.flat_s;
+        engine_sum += row.engine_s;
+    }
     e2e.addRow({"total", TablePrinter::fmt(est.total_s, 4),
                 TablePrinter::fmt(engine_total_s, 4)});
     e2e.print(std::cout);
+    if (std::abs(flat_sum - est.total_s) > 1e-9 ||
+        std::abs(engine_sum - engine_total_s) > 1e-9) {
+        std::cerr << "FAIL: end-to-end rows do not sum to their totals "
+                     "(flat "
+                  << flat_sum << " vs " << est.total_s << ", engine "
+                  << engine_sum << " vs " << engine_total_s << ")\n";
+        return 1;
+    }
 
     const double end2end_speedup = est.total_s / engine_total_s;
     std::cout << "\nEnd-to-end speedup: "
               << TablePrinter::fmtRatio(end2end_speedup)
-              << " (coalescing " << TablePrinter::fmt(flat_s - coal_s, 4)
-              << " s, residency "
+              << " = repricing eq. 3 t_sub as unique payload bytes "
+              << TablePrinter::fmt(repricing_s, 4) << " s ("
+              << TablePrinter::fmtRatio(est.total_s /
+                                        (est.total_s - repricing_s))
+              << " alone) + residency "
               << TablePrinter::fmt(resident_saved_s, 4)
-              << " s, wave overlap " << TablePrinter::fmt(hidden_s, 4)
-              << " s; compute terms untouched).\n";
+              << " s; compute terms untouched.\n";
     if (end2end_speedup < 1.3) {
         std::cerr << "FAIL: transfer-engine end-to-end speedup "
                   << TablePrinter::fmtRatio(end2end_speedup)

@@ -16,8 +16,8 @@ Supports two run schemas, auto-detected from the "schema" field:
 
 * pimdl.bench.transfer.v1 (from `bench_transfer --json`): every
   higher-is-better transfer-engine scalar (achieved GB/s at fixed
-  burst sizes, coalescing speedup, resident-LUT hit rate, overlap
-  fraction, end-to-end speedup — all model-derived and deterministic)
+  burst sizes, transaction agreement, resident-LUT hit rate,
+  end-to-end speedup — all model-derived and deterministic)
   is compared against bench/baselines/transfer.json; the build fails
   when any entry drops by more than the tolerance.
 

@@ -139,12 +139,11 @@ class TransactionBackend final : public TimingBackend
     TxnNodeReport simulateElementwise(double ew_ops,
                                       double ew_bytes) const;
     /**
-     * Command stream of one coalesced host<->PIM burst (the transfer
-     * engine's unit of link work): one setup command
-     * (link_setup_latency_s) followed by DMA chunks whose aggregate
-     * busy time prices @p bytes at the whole-burst point of the
-     * direction's bandwidth curve — which is the coalescing win the
-     * engine claims, expressed in commands. Direction and
+     * Command stream of one host<->PIM burst (the transfer engine's
+     * unit of link work): one setup command (link_setup_latency_s)
+     * followed by DMA chunks whose aggregate busy time prices @p bytes
+     * at the whole-burst point of the direction's bandwidth curve —
+     * transfer::burstSeconds expressed in commands. Direction and
      * @p lut_staging select Broadcast (host->PIM activations), Scatter
      * (host->PIM LUT staging), or Gather (PIM->host outputs).
      */

@@ -55,7 +55,7 @@ upmemPlatform()
     // dpu_push_xfer descriptor build + rank barrier per transfer call:
     // ~30 us measured on the 16-rank configuration ([33] reports the
     // per-call software overhead dominating sub-KB transfers). Paid
-    // once per coalesced burst by the transfer engine.
+    // once per payload burst by the transfer engine.
     cfg.link_setup_latency_s = 30e-6;
 
     // dpu-diag reports ~13.92 W/DIMM at 350 MHz (paper Section 6.3).

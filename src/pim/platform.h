@@ -116,9 +116,7 @@ struct PimPlatformConfig
     /**
      * Fixed per-burst setup cost of one host<->PIM transfer, seconds:
      * descriptor build, rank synchronization, and DMA arm. The transfer
-     * engine (src/transfer) charges this once per coalesced burst, so
-     * merging K adjacent payloads saves (K-1) setups on top of the
-     * higher point reached on the bandwidth curve.
+     * engine (src/transfer) charges this once per payload burst.
      */
     double link_setup_latency_s = 2e-6;
 

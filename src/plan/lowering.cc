@@ -104,12 +104,11 @@ lowerTransformer(const TransformerConfig &model, const LutNnParams &params,
             if (platform && !platform->lut_resident) {
                 // Static LUT re-staging rides the same up-transfer but
                 // carries no data dependency on the forward chain; the
-                // transfer engine keys coalescing and resident
-                // placement off this split (src/transfer).
+                // transfer engine keys resident placement off this
+                // split (src/transfer).
                 up.lut_stage_bytes = static_cast<double>(shape.cb) *
                                      shape.ct * shape.f *
                                      platform->lut_dtype_bytes;
-                up.resident_eligible = true;
                 up.transfer_bytes += up.lut_stage_bytes;
             }
 

@@ -94,9 +94,6 @@ enum class TransferDirection
     PimToHost,
 };
 
-/** Sentinel burst id of a transfer node no coalescing pass visited. */
-inline constexpr std::size_t kNoBurstId = static_cast<std::size_t>(-1);
-
 /**
  * One operator instance in a lowered plan. The struct is a tagged
  * union in spirit: which fields are meaningful depends on `kind`
@@ -140,17 +137,10 @@ struct PlanNode
      * Portion of transfer_bytes that is static LUT re-staging (set by
      * lowering on platforms without resident LUTs). Unlike the
      * activation payload it has no data dependency on the forward
-     * chain, so the transfer engine may coalesce it across operators
-     * into larger bursts or eliminate it entirely via resident
-     * placement (src/transfer).
+     * chain, so the transfer engine's resident placement may eliminate
+     * it across requests (src/transfer).
      */
     double lut_stage_bytes = 0.0;
-    /** True when lut_stage_bytes could instead stay pinned in the PIM
-     * banks across requests (resident-LUT placement candidate). */
-    bool resident_eligible = false;
-    /** Coalesced burst this node's payload joined (kNoBurstId until a
-     * transfer::planTransferBursts pass annotates the plan). */
-    std::size_t burst_id = kNoBurstId;
 
     /** Dtype host-costed nodes run in (Gemm/Attention/Elementwise). */
     HostDtype dtype = HostDtype::Fp32;

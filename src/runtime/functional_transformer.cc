@@ -215,7 +215,6 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
                 ctx.resident_key =
                     (static_cast<std::uint64_t>(node.layer) << 2) |
                     static_cast<std::uint64_t>(roleIndex(node.role));
-                ctx.stage_waves = stage_waves_;
                 const bool engine = transfer_scheduler_ != nullptr ||
                                     resident_luts_ != nullptr;
                 const DistributedLutResult result = runDistributedLut(
@@ -231,8 +230,6 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
                         result.transfer.staged_bytes;
                     last_transfer_.transfer_model_s +=
                         result.transfer.transfer_model_s;
-                    last_transfer_.hidden_model_s +=
-                        result.transfer.hidden_model_s;
                     last_transfer_.saved_stage_s +=
                         result.transfer.saved_stage_s;
                     last_transfer_.resident_hits +=
@@ -359,12 +356,10 @@ FunctionalTransformer::planPimExecution(const PimPlatformConfig &platform,
 void
 FunctionalTransformer::enableTransferEngine(
     transfer::TransferScheduler *scheduler,
-    transfer::ResidentLutManager *resident, std::size_t stage_waves)
+    transfer::ResidentLutManager *resident)
 {
-    PIMDL_REQUIRE(stage_waves > 0, "stage_waves must be positive");
     transfer_scheduler_ = scheduler;
     resident_luts_ = resident;
-    stage_waves_ = stage_waves;
 }
 
 TransferReport

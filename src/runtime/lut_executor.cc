@@ -111,12 +111,11 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
 
     // Reduces @p nrows index rows from idx0 against LUT columns
     // [col0, col0 + ncols), bias included, into dst (row stride
-    // @p stride). idx0 is the host index tensor or a wave's staged copy
-    // of it (identical u16 values, so staging is bit-exact). The kernel
-    // contract fixes each column's accumulation order (codebook order)
-    // whatever column window, PE, ISA variant or host runs it, so a
-    // per-PE tile (l * fs_tile, fs_tile) and a full-width row (0, F)
-    // yield the same bits, as do degraded-mode and fallback recomputes.
+    // @p stride). The kernel contract fixes each column's accumulation
+    // order (codebook order) whatever column window, PE, ISA variant or
+    // host runs it, so a per-PE tile (l * fs_tile, fs_tile) and a
+    // full-width row (0, F) yield the same bits, as do degraded-mode and
+    // fallback recomputes.
     const kernels::KernelTable &kt = kernels::best();
     const std::vector<float> &bias = layer.bias();
     const float scale = quantized ? layer.quantScale() : 1.0f;
@@ -164,8 +163,6 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     // the placement manager says the table is already pinned in the
     // banks; a hit removes t_sub_lut from the engine's modeled time, a
     // miss pays one real scatter burst (packed in WRAM tile order).
-    const bool engine_on =
-        transfer_ctx != nullptr && transfer_ctx->scheduler != nullptr;
     if (transfer_ctx != nullptr && !platform.lut_resident) {
         const double lut_model_bytes = static_cast<double>(shape.cb) *
                                        static_cast<double>(shape.ct) *
@@ -182,7 +179,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
                 ++result.transfer.resident_misses;
             }
         }
-        if (!hit && engine_on) {
+        if (!hit && transfer_ctx->scheduler != nullptr) {
             // Scatter-stage the table: each lane's fs_tile columns
             // land contiguously, the layout its WRAM kernel consumes.
             const std::size_t elem =
@@ -191,8 +188,6 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             const void *table =
                 quantized ? static_cast<const void *>(layer.quantLutData())
                           : static_cast<const void *>(layer.lutData());
-            auto lut_chan = transfer_ctx->scheduler->openChannel(
-                "transfer.lut.tables");
             transfer::StageRequest req;
             req.bytes = lut_rows * shape.f * elem;
             req.modeled_seconds = result.cost.t_sub_lut;
@@ -201,11 +196,8 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
                 transfer::packColumnTiles(table, lut_rows, shape.f,
                                           mapping.fs_tile, elem, dst);
             };
-            const std::size_t ticket = lut_chan->stage(std::move(req));
-            lut_chan->wait(ticket);
             const transfer::StagedBurstReport br =
-                lut_chan->report(ticket);
-            lut_chan->release(ticket);
+                transfer_ctx->scheduler->stage(std::move(req)).report;
             ++result.transfer.bursts;
             result.transfer.staged_bytes +=
                 static_cast<double>(lut_rows * shape.f * elem);
@@ -216,97 +208,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         }
     }
 
-    if (faults == nullptr && engine_on) {
-        // ---- Transfer engine: double-buffered wave broadcast -------
-        // The index broadcast is split into stage_waves row chunks;
-        // wave w's staged fill runs on the transfer thread while the
-        // lock-step PEs reduce wave w-1, so all but the first wave's
-        // transfer hides behind compute (up to the shorter of the two
-        // per-wave times — the classic double-buffer bound).
-        const std::size_t waves = std::max<std::size_t>(
-            1, std::min(transfer_ctx->stage_waves, mapping.ns_tile));
-        const std::size_t rpw = (mapping.ns_tile + waves - 1) / waves;
-        const auto waveRow0 = [&](std::size_t w) { return w * rpw; };
-        const auto waveRows = [&](std::size_t w) {
-            return std::min(rpw, mapping.ns_tile - waveRow0(w));
-        };
-        const double micro_s = result.cost.microKernelTotal();
-        const double ns_total = static_cast<double>(mapping.ns_tile);
-
-        auto chan = transfer_ctx->scheduler->openChannel(
-            "transfer.lut.indices");
-        const auto stageWave = [&](std::size_t w) {
-            const std::size_t nrows = waveRows(w);
-            transfer::StageRequest req;
-            req.bytes =
-                groups * nrows * indices.cols * sizeof(std::uint16_t);
-            req.modeled_seconds = result.cost.t_sub_index *
-                                  static_cast<double>(nrows) / ns_total;
-            req.fill = [&, w, nrows](std::uint8_t *dst, std::size_t) {
-                transfer::packWaveRows(indices.data.data(), groups,
-                                       mapping.ns_tile, waveRow0(w),
-                                       nrows, indices.cols,
-                                       sizeof(std::uint16_t), dst);
-            };
-            return chan->stage(std::move(req));
-        };
-
-        std::size_t tickets[2];
-        tickets[0] = stageWave(0);
-        double prev_compute_s = 0.0;
-        for (std::size_t w = 0; w < waves; ++w) {
-            const std::size_t nrows = waveRows(w);
-            const double frac = static_cast<double>(nrows) / ns_total;
-            const double wave_transfer_s =
-                result.cost.t_sub_index * frac;
-            const std::vector<std::uint8_t> &buf =
-                chan->wait(tickets[w % 2]);
-            // Fill of wave w+1 proceeds on the transfer thread while
-            // this wave computes below — the overlap itself.
-            if (w + 1 < waves)
-                tickets[(w + 1) % 2] = stageWave(w + 1);
-            const auto *staged =
-                reinterpret_cast<const std::uint16_t *>(buf.data());
-            // Full-width rows, as on the unstaged path below. Staged row
-            // i is wave row i % nrows of group i / nrows; a block splits
-            // where it crosses into the next group, whose output rows
-            // start ns_tile further down.
-            const auto waveBlock = [&](std::size_t b, std::size_t e) {
-                for (std::size_t i = b; i < e;) {
-                    const std::size_t r = i % nrows;
-                    const std::size_t len = std::min(e - i, nrows - r);
-                    const std::size_t row =
-                        (i / nrows) * mapping.ns_tile + waveRow0(w) + r;
-                    computeRows(staged + i * indices.cols, len,
-                                out.rowPtr(row), out.cols(), 0, shape.f);
-                    i += len;
-                }
-            };
-            parallelForBlocked(groups * nrows, LutLayer::kRowGrain,
-                               waveBlock);
-            const transfer::StagedBurstReport br =
-                chan->report(tickets[w % 2]);
-            chan->release(tickets[w % 2]);
-            ++result.transfer.bursts;
-            result.transfer.staged_bytes += static_cast<double>(
-                groups * nrows * indices.cols * sizeof(std::uint16_t));
-            result.transfer.transfer_model_s += wave_transfer_s;
-            result.transfer.stalls += br.stalls;
-            result.transfer.corrupt_retries += br.corrupt_retries;
-            result.transfer.burst_added_s += br.added_seconds;
-            // Wave w's transfer (w >= 1) hid behind wave w-1's
-            // compute: at most the shorter of the two modeled times.
-            if (w > 0)
-                result.transfer.hidden_model_s +=
-                    std::min(wave_transfer_s, prev_compute_s);
-            prev_compute_s = micro_s * frac;
-        }
-
-        static obs::Gauge &g_overlap =
-            reg.gauge("transfer.overlap_frac");
-        g_overlap.set(result.transfer.overlapFrac());
-        span.attr("transfer_hidden_s", result.transfer.hidden_model_s);
-    } else if (faults == nullptr) {
+    if (faults == nullptr) {
         // Fault-free execution reduces whole output rows, one (0, F)
         // kernel call per row: legality requires fs_tile | F, so a
         // group's lanes partition its columns exactly and the rows

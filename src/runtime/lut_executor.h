@@ -37,36 +37,29 @@ namespace pimdl {
 
 /**
  * Optional transfer-engine hookup for one distributed execution. When
- * present (and the platform is an offload model), the executor runs its
- * host->PIM movement through the real staging machinery instead of only
- * pricing it: index tiles are broadcast in double-buffered row waves
- * (stage_waves chunks whose fills overlap the previous wave's PE
- * compute), and LUT re-staging consults the resident-LUT manager first
- * — a hit skips the scatter burst entirely.
+ * present (and the platform is an offload model), LUT re-staging
+ * consults the resident-LUT manager first: a hit skips the scatter
+ * burst and its modeled t_sub_lut; a miss stages the table through the
+ * scheduler (packed in WRAM tile order) under per-burst fault draws.
  */
 struct LutTransferContext
 {
-    /** Staging engine (required for the staged path). */
+    /** Staging engine; nullptr = residency accounting only. */
     transfer::TransferScheduler *scheduler = nullptr;
     /** Resident-LUT placement; nullptr = re-stage every launch. */
     transfer::ResidentLutManager *resident = nullptr;
     /** Caller-stable identity of this layer's LUT table. */
     std::uint64_t resident_key = 0;
-    /** Row chunks the index broadcast is split into (>= 1). */
-    std::size_t stage_waves = 4;
 };
 
 /** Transfer-engine outcome of one distributed execution. */
 struct TransferReport
 {
-    /** Staged bursts this execution issued (waves + LUT re-stages). */
+    /** LUT re-staging bursts this execution issued. */
     std::size_t bursts = 0;
     double staged_bytes = 0.0;
     /** Modeled link seconds of the staged transfers. */
     double transfer_model_s = 0.0;
-    /** Modeled transfer seconds hidden behind PE compute by the
-     * double-buffered waves. */
-    double hidden_model_s = 0.0;
     /** Modeled LUT re-staging seconds skipped via residency hits. */
     double saved_stage_s = 0.0;
     std::size_t resident_hits = 0;
@@ -76,14 +69,6 @@ struct TransferReport
     std::size_t corrupt_retries = 0;
     /** Modeled stall/re-stage seconds the burst faults added. */
     double burst_added_s = 0.0;
-
-    /** Share of staged transfer time hidden behind compute, [0, 1]. */
-    double
-    overlapFrac() const
-    {
-        return transfer_model_s > 0.0 ? hidden_model_s / transfer_model_s
-                                      : 0.0;
-    }
 };
 
 /** Result of one distributed LUT execution. */
@@ -109,15 +94,15 @@ struct DistributedLutResult
 
     /**
      * Modeled wall time under the transfer engine: the analytical
-     * baseline minus the staging seconds residency skipped and the
-     * transfer seconds the wave overlap hid, plus per-burst fault
-     * penalties. Collapses to modelSeconds() without a context.
+     * baseline minus the staging seconds residency skipped, plus
+     * per-burst fault penalties. Collapses to modelSeconds() without a
+     * context.
      */
     double
     engineSeconds() const
     {
         return modelSeconds() + transfer.burst_added_s -
-               transfer.saved_stage_s - transfer.hidden_model_s;
+               transfer.saved_stage_s;
     }
 };
 
@@ -131,11 +116,10 @@ struct DistributedLutResult
  * output (and the analytical cost) is bit-identical to a fault-free
  * run.
  *
- * When @p transfer_ctx is non-null, host->PIM movement runs through
- * the transfer engine: resident-LUT lookups, and (on the fault-free
- * path) the double-buffered wave broadcast of index tiles; the staged
- * output is bit-identical to the unstaged one. Under the per-PE fault
- * ladder only residency applies (the ladder owns the wave structure).
+ * When @p transfer_ctx is non-null, LUT re-staging runs through the
+ * transfer engine (resident-LUT lookup, staged scatter on a miss). The
+ * engine moves only modeled seconds: the output is bit-identical with
+ * or without it, on the fault-free rows and under the fault ladder.
  *
  * Throws (via PIMDL_REQUIRE) if the mapping is illegal for the shape.
  */

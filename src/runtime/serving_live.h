@@ -161,17 +161,6 @@ struct LiveServingConfig
     /** Control-plane resilience: watchdog, breaker, overload,
      * poison bisection. */
     ResilienceConfig resilience;
-    /**
-     * Optional transfer engine for batch-input staging. When set, the
-     * batcher stages each dispatched batch's stacked token rows into a
-     * double-buffered channel on the transfer thread, so batch k+1's
-     * input assembly overlaps batch k's execution in the workers
-     * (continuous batching extended down to the host->PIM copy).
-     * Must outlive the runtime. nullptr = stack inputs inline in the
-     * worker (the previous behaviour).
-     */
-    transfer::TransferScheduler *input_stager = nullptr;
-
     /** Throws std::runtime_error with a field-naming message. */
     void validate() const;
 };
@@ -327,19 +316,6 @@ class LiveServingRuntime
         ~PendingRequest();
     };
 
-    /**
-     * One staged batch input in flight on the transfer engine. The
-     * fill reads the pending requests' input tensors, so the handle
-     * must be destroyed before those requests are: BatchTask declares
-     * it after `requests` (members destroy in reverse order), and the
-     * channel destructor waits out an in-flight fill.
-     */
-    struct StagedInput
-    {
-        std::unique_ptr<transfer::StagingChannel> channel;
-        std::size_t ticket = 0;
-    };
-
     struct BatchTask
     {
         std::uint64_t id = 0;
@@ -349,9 +325,6 @@ class LiveServingRuntime
         /** True for sub-batches produced by poison bisection. */
         bool bisected = false;
         std::vector<std::unique_ptr<PendingRequest>> requests;
-        /** Non-null while a staged input awaits consumption; must
-         * stay declared after `requests` (see StagedInput). */
-        std::shared_ptr<StagedInput> staged;
     };
 
     /**

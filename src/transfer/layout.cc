@@ -49,23 +49,5 @@ unpackColumnTiles(const void *src, std::size_t rows, std::size_t cols,
     }
 }
 
-void
-packWaveRows(const void *src, std::size_t groups, std::size_t group_rows,
-             std::size_t row0, std::size_t wave_rows, std::size_t cols,
-             std::size_t elem_bytes, void *dst)
-{
-    PIMDL_REQUIRE(row0 + wave_rows <= group_rows,
-                  "wave rows exceed the group tile");
-    const std::size_t row_bytes = cols * elem_bytes;
-    const auto *in = static_cast<const std::uint8_t *>(src);
-    auto *out = static_cast<std::uint8_t *>(dst);
-    for (std::size_t g = 0; g < groups; ++g) {
-        const std::uint8_t *rows_in =
-            in + (g * group_rows + row0) * row_bytes;
-        std::memcpy(out + g * wave_rows * row_bytes, rows_in,
-                    wave_rows * row_bytes);
-    }
-}
-
 } // namespace transfer
 } // namespace pimdl

@@ -5,15 +5,12 @@
  *
  * A host->PIM scatter delivers each PE one contiguous block, so the
  * host must pre-pack strided slices (a lane's fs_tile columns of every
- * LUT row, or each group's row-slice of a wave) into lane-major /
- * group-major staging order before the DMA; the PIM->host gather is the
- * inverse. These are the memcpy-with-stride kernels the transfer
- * engine's staging fills run on the transfer thread — the packing cost
- * is exactly what double-buffering hides behind PE compute.
+ * LUT row) into lane-major staging order before the DMA; the PIM->host
+ * gather is the inverse. The transfer engine's LUT staging fill runs
+ * packColumnTiles.
  *
- * All transforms are pure byte permutations: pack followed by unpack is
- * the identity (tested), which is what keeps the staged execution path
- * bit-exact against the unstaged one.
+ * Both transforms are pure byte permutations: pack followed by unpack
+ * is the identity (tested).
  */
 
 #ifndef PIMDL_TRANSFER_LAYOUT_H
@@ -41,19 +38,6 @@ void packColumnTiles(const void *src, std::size_t rows, std::size_t cols,
 void unpackColumnTiles(const void *src, std::size_t rows,
                        std::size_t cols, std::size_t tile_width,
                        std::size_t elem_bytes, void *dst);
-
-/**
- * Gathers one wave's row slice of every group into group-major staging
- * order: for each group g in [0, groups), rows [g*group_rows + row0,
- * g*group_rows + row0 + wave_rows) of the row-major (groups*group_rows
- * x cols) source land contiguously at dst block g. This is the
- * broadcast staging layout of a double-buffered index wave; PE (g, l)
- * reads its rows at dst + g*wave_rows*cols elements.
- */
-void packWaveRows(const void *src, std::size_t groups,
-                  std::size_t group_rows, std::size_t row0,
-                  std::size_t wave_rows, std::size_t cols,
-                  std::size_t elem_bytes, void *dst);
 
 } // namespace transfer
 } // namespace pimdl

@@ -89,13 +89,14 @@ class ResidentLutManager
     ResidentLutStats stats_ PIMDL_GUARDED_BY(mu_);
 };
 
-/**
- * Default resident-LUT budget of @p platform: @p fraction of the
- * aggregate per-bank local memory (the remainder stays for working
- * tiles, matching the verifier's per-bank capacity pass).
- */
-double residentLutCapacityBytes(const PimPlatformConfig &platform,
-                                double fraction = 0.5);
+/** Share of aggregate per-bank local memory reserved for resident
+ * LUTs; the remainder stays for working tiles, matching the
+ * verifier's per-bank capacity pass. */
+inline constexpr double kResidentLutMemFraction = 0.5;
+
+/** Default resident-LUT budget of @p platform, bytes:
+ * kResidentLutMemFraction of the aggregate per-bank local memory. */
+double residentLutCapacityBytes(const PimPlatformConfig &platform);
 
 } // namespace transfer
 } // namespace pimdl

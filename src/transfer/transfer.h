@@ -1,38 +1,24 @@
 /**
  * @file
- * Host<->PIM transfer engine: size-aware burst formation over a lowered
- * plan's HostPimTransfer nodes, priced on the platform's saturating
- * bandwidth curves plus a per-burst setup latency.
+ * Host<->PIM link pricing of the transfer engine: one payload priced as
+ * one burst on the platform's saturating bandwidth curve plus a fixed
+ * per-burst setup latency.
  *
- * The "UPMEM Unleashed" playbook (PAPERS.md) observes that commodity
- * DRAM-PIM transfer APIs are latency-dominated for small payloads: each
- * transfer call pays a fixed descriptor/rank-sync setup, and the
- * effective bandwidth of a payload follows bw(bytes) = peak * bytes /
- * (bytes + half_size). The engine exploits the one structural freedom a
- * chain-shaped inference plan leaves: static LUT re-staging payloads
- * (PlanNode::lut_stage_bytes, set by lowering on platforms without
- * resident LUTs) have no data dependency on the forward pass, so they
- * can be merged across operators into large scatter bursts — fewer
- * setups, higher point on the curve — or eliminated entirely by the
- * resident placement manager (resident.h). Activation payloads (index
- * uploads, output gathers) are chain-dependent and stay one burst each;
- * coalescing never merges across a true dependency.
- *
- * The pass annotates the plan (burst ids on transfer nodes) and returns
- * the burst list; it never changes node count, dependencies, or the
- * default analytical cost of the plan, so every existing golden
- * estimate is untouched. Engine pricing is an overlay consumed by the
- * runtime executor, bench_transfer, and the fig. 11 breakdown.
+ * Commodity DRAM-PIM transfer APIs are latency-dominated for small
+ * payloads ("UPMEM Unleashed", PAPERS.md): each transfer call pays a
+ * descriptor/rank-sync setup, and the effective bandwidth of a payload
+ * follows bw(bytes) = peak * bytes / (bytes + half_size). Static LUT
+ * re-staging payloads (PlanNode::lut_stage_bytes, set by lowering on
+ * platforms without resident LUTs) ride the scatter curve and are the
+ * payloads resident placement (resident.h) eliminates; activation
+ * payloads (index uploads, output gathers) ride the broadcast and
+ * gather curves.
  */
 
 #ifndef PIMDL_TRANSFER_TRANSFER_H
 #define PIMDL_TRANSFER_TRANSFER_H
 
-#include <cstddef>
-#include <vector>
-
 #include "pim/platform.h"
-#include "plan/plan.h"
 
 namespace pimdl {
 namespace transfer {
@@ -48,99 +34,14 @@ enum class LinkPattern
     Gather,
 };
 
-/** Human-readable pattern name. */
-const char *linkPatternName(LinkPattern pattern);
-
 /** The bandwidth curve @p pattern rides on @p platform. */
 const BandwidthCurve &curveFor(const PimPlatformConfig &platform,
                                LinkPattern pattern);
 
-/** Knobs of the burst-formation pass. */
-struct TransferPolicy
-{
-    /** Upper bound on one coalesced burst's payload, bytes (bounds the
-     * host staging memory the burst occupies). */
-    double max_burst_bytes = 64.0 * 1024 * 1024;
-    /** Consecutive encoder layers one staging burst may span. Staging
-     * payloads are prefetchable static weights, so the window trades
-     * staging memory for curve position. */
-    std::size_t layer_window = 2;
-    /** Merge static LUT staging payloads across operators (off =
-     * one burst per plan payload, the flat baseline). */
-    bool coalesce_lut_staging = true;
-
-    /** Throws std::runtime_error on non-positive bounds. */
-    void validate() const;
-};
-
-/** One plan payload's contribution to a burst. */
-struct BurstSlice
-{
-    /** PlanNode::id of the transfer node the bytes came from. */
-    std::size_t node_id = 0;
-    double bytes = 0.0;
-};
-
-/** One coalesced host<->PIM transfer. */
-struct TransferBurst
-{
-    std::size_t id = 0;
-    LinkPattern pattern = LinkPattern::Broadcast;
-    TransferDirection direction = TransferDirection::HostToPim;
-    /** Total payload, bytes (sum of slices). */
-    double bytes = 0.0;
-    /** True for static LUT re-staging (prefetchable, residency-
-     * eligible); false for chain-dependent activation payloads. */
-    bool lut_staging = false;
-    /** Encoder-layer span of the merged payloads. */
-    std::size_t first_layer = 0;
-    std::size_t last_layer = 0;
-    std::vector<BurstSlice> slices;
-
-    std::size_t pieces() const { return slices.size(); }
-};
-
-/** The burst-formation result over one plan. */
-struct BurstPlan
-{
-    std::vector<TransferBurst> bursts;
-    /** Sum of all transfer payloads, bytes (== the plan's transfer
-     * bytes; burst formation conserves bytes by construction). */
-    double total_bytes = 0.0;
-    /** Bytes that joined a multi-piece burst (the coalescing win). */
-    double coalesced_bytes = 0.0;
-    /** Payload pieces merged away (pieces - bursts over the staging
-     * subset): each one saves a link setup. */
-    std::size_t merged_pieces = 0;
-
-    /** Engine pricing: per burst, one setup + the whole payload at the
-     * curve point of the burst size. */
-    double burstSeconds(const PimPlatformConfig &platform) const;
-    /** Flat-payload baseline: every piece pays its own setup and rides
-     * the curve at its own (smaller) size. */
-    double flatSeconds(const PimPlatformConfig &platform) const;
-};
-
-/** Seconds for one coalesced burst of @p bytes: link setup + payload
- * at the bandwidth-curve point of the full burst. */
+/** Seconds for one burst of @p bytes: link setup + payload at the
+ * bandwidth-curve point of the whole burst (0 for an empty payload). */
 double burstSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
                     double bytes);
-
-/** Seconds for one un-coalesced payload of @p bytes (same formula; the
- * baseline difference is that each piece pays it separately). */
-double pieceSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
-                    double bytes);
-
-/**
- * Forms size-aware bursts over @p plan's HostPimTransfer nodes and
- * annotates each node's burst_id with the burst that carries its
- * largest payload share. Activation payloads (indices, outputs) become
- * one burst each; static LUT staging payloads merge across operators
- * within the policy's layer window and size bound. Node count, deps,
- * and transfer_bytes are never modified.
- */
-BurstPlan planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
-                             const TransferPolicy &policy = {});
 
 } // namespace transfer
 } // namespace pimdl

@@ -248,25 +248,31 @@ TEST_F(LutExecutorExact, UnstagedFullWidthRows)
     });
 }
 
-TEST_F(LutExecutorExact, StagedWaves)
+TEST_F(LutExecutorExact, EngineAttached)
 {
-    const std::size_t ns_tile = kRows / kGroups;
-    for (std::size_t waves : {std::size_t{1}, std::size_t{3}, ns_tile}) {
-        SCOPED_TRACE("stage_waves=" + std::to_string(waves));
-        expectBitExact([waves](const LutLayer &layer,
-                               const IndexMatrix &idx, const LutMapping &m,
-                               bool quantized) {
-            transfer::TransferScheduler scheduler({});
-            LutTransferContext ctx;
-            ctx.scheduler = &scheduler;
-            ctx.stage_waves = waves;
-            DistributedLutResult result =
-                runDistributedLut(upmemPlatform(), layer, idx, m,
-                                  quantized, nullptr, {}, &ctx);
-            EXPECT_EQ(result.transfer.bursts, waves + 1); // + LUT stage
-            return result;
-        });
-    }
+    // Transfer engine attached: a resident miss stages the LUT, the
+    // repeat is a hit; both must leave the output bits untouched.
+    expectBitExact([](const LutLayer &layer, const IndexMatrix &idx,
+                      const LutMapping &m, bool quantized) {
+        transfer::TransferScheduler scheduler({});
+        transfer::ResidentLutManager resident(
+            transfer::residentLutCapacityBytes(upmemPlatform()));
+        LutTransferContext ctx;
+        ctx.scheduler = &scheduler;
+        ctx.resident = &resident;
+        const auto run = [&] {
+            return runDistributedLut(upmemPlatform(), layer, idx, m,
+                                     quantized, nullptr, {}, &ctx);
+        };
+        const DistributedLutResult miss = run();
+        EXPECT_EQ(miss.transfer.resident_misses, 1u);
+        EXPECT_EQ(miss.transfer.bursts, 1u);
+        DistributedLutResult hit = run();
+        EXPECT_EQ(hit.transfer.resident_hits, 1u);
+        EXPECT_EQ(hit.transfer.bursts, 0u);
+        EXPECT_TRUE(bitEqual(miss.output, hit.output));
+        return hit;
+    });
 }
 
 TEST_F(LutExecutorExact, ZeroRateFaultLadder)
