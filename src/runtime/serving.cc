@@ -13,19 +13,98 @@
 namespace pimdl {
 
 void
-ServingFaultProfile::validate() const
+ServingPolicy::validate() const
 {
-    PIMDL_REQUIRE(std::isfinite(batch_fault_rate) &&
-                      batch_fault_rate >= 0.0 && batch_fault_rate <= 1.0,
+    PIMDL_REQUIRE(max_batch > 0, "max_batch must be positive");
+    PIMDL_REQUIRE(std::isfinite(max_wait_s) && max_wait_s >= 0.0,
+                  "max_wait_s must be finite and non-negative");
+    PIMDL_REQUIRE(std::isfinite(deadline_s) && deadline_s >= 0.0,
+                  "deadline_s must be finite and non-negative (0 = off)");
+    const ServingFaultProfile &f = faults;
+    PIMDL_REQUIRE(std::isfinite(f.batch_fault_rate) &&
+                      f.batch_fault_rate >= 0.0 && f.batch_fault_rate <= 1.0,
                   "faults.batch_fault_rate must lie in [0, 1]");
-    PIMDL_REQUIRE(std::isfinite(degraded_service_factor) &&
-                      degraded_service_factor >= 1.0,
+    PIMDL_REQUIRE(std::isfinite(f.degraded_service_factor) &&
+                      f.degraded_service_factor >= 1.0,
                   "faults.degraded_service_factor must be >= 1");
-    PIMDL_REQUIRE(std::isfinite(backoff_base_s) && backoff_base_s >= 0.0,
+    PIMDL_REQUIRE(std::isfinite(f.backoff_base_s) && f.backoff_base_s >= 0.0,
                   "faults.backoff_base_s must be finite and non-negative");
-    PIMDL_REQUIRE(std::isfinite(backoff_cap_s) &&
-                      backoff_cap_s >= backoff_base_s,
+    PIMDL_REQUIRE(std::isfinite(f.backoff_cap_s) &&
+                      f.backoff_cap_s >= f.backoff_base_s,
                   "faults.backoff_cap_s must be >= faults.backoff_base_s");
+}
+
+std::size_t
+ServingPolicy::shapeBatch(std::size_t batch) const
+{
+    if (!pow2_buckets)
+        return batch;
+    std::size_t padded = 1;
+    while (padded < batch)
+        padded <<= 1;
+    return std::min(padded, max_batch);
+}
+
+LadderStep
+ServingPolicy::ladderStep(std::uint64_t ordinal, std::size_t attempt,
+                          bool executor_faulted) const
+{
+    LadderStep step;
+    step.faulted = executor_faulted ||
+                   (faults.enabled() &&
+                    faultHashUniform(faults.seed, kServingBatchFaultStream,
+                                     ordinal, attempt) <
+                        faults.batch_fault_rate);
+    step.retry = step.faulted && attempt < faults.max_retries;
+    if (step.retry)
+        step.backoff_s = faults.backoffFor(attempt);
+    return step;
+}
+
+RequestOutcome
+ServingOutcomeStats::count(bool served, double latency_s, double deadline_s)
+{
+    if (!served) {
+        ++failed_requests;
+        return RequestOutcome::Failed;
+    }
+    if (deadline_s > 0.0 && latency_s > deadline_s) {
+        ++timed_out;
+        return RequestOutcome::Late;
+    }
+    ++completed;
+    return RequestOutcome::InDeadline;
+}
+
+void
+ServingOutcomeStats::countBatch(bool served, std::size_t retries)
+{
+    ++batches;
+    batch_retries += retries;
+    if (!served)
+        ++failed_batches;
+    else if (retries > 0)
+        ++degraded_batches;
+}
+
+void
+ServingOutcomeStats::summarizeLatencies(std::vector<double> &latencies)
+{
+    if (latencies.empty())
+        return;
+    std::sort(latencies.begin(), latencies.end());
+    auto percentile = [&](double p) {
+        const std::size_t idx = static_cast<std::size_t>(
+            p * static_cast<double>(latencies.size() - 1));
+        return latencies[idx];
+    };
+    double sum = 0.0;
+    for (double l : latencies)
+        sum += l;
+    mean_latency_s = sum / static_cast<double>(latencies.size());
+    p50_latency_s = percentile(0.50);
+    p95_latency_s = percentile(0.95);
+    p99_latency_s = percentile(0.99);
 }
 
 void
@@ -35,12 +114,7 @@ ServingConfig::validate() const
                   "arrival_rate must be positive (requests/second)");
     PIMDL_REQUIRE(std::isfinite(horizon_s) && horizon_s > 0.0,
                   "horizon_s must be positive (seconds)");
-    PIMDL_REQUIRE(max_batch > 0, "max_batch must be positive");
-    PIMDL_REQUIRE(std::isfinite(max_wait_s) && max_wait_s >= 0.0,
-                  "max_wait_s must be finite and non-negative");
-    PIMDL_REQUIRE(std::isfinite(deadline_s) && deadline_s >= 0.0,
-                  "deadline_s must be finite and non-negative (0 = off)");
-    faults.validate();
+    ServingPolicy::validate();
 }
 
 ServingSimulator::ServingSimulator(const PimDlEngine &engine,
@@ -158,16 +232,11 @@ simulateServingTrace(const ServingConfig &config,
             continue;
         }
 
-        // Dispatch decision: full batch, or deadline hit, or no more
-        // arrivals will ever come. The epsilon guards against the
-        // rounding of (front + max_wait) - front landing one ULP under
-        // max_wait, which would stall the clock.
-        constexpr double kEps = 1e-9;
-        const bool full = queue.size() >= config.max_batch;
-        const bool deadline =
-            now - queue.front() >= config.max_wait_s - kEps;
+        // Dispatch decision: the shared policy's full-or-waited test,
+        // or no more arrivals will ever come.
         const bool drained = next_arrival >= arrivals.size();
-        if (!full && !deadline && !drained) {
+        if (!config.dispatchReady(queue.size(), now - queue.front()) &&
+            !drained) {
             // Wait for whichever comes first: batch-filling arrival or
             // the oldest request's deadline.
             const double next_deadline =
@@ -175,7 +244,7 @@ simulateServingTrace(const ServingConfig &config,
             const double target =
                 std::min(arrivals[next_arrival], next_deadline);
             // Guarantee forward progress regardless of rounding.
-            now = std::max(target, now + kEps);
+            now = std::max(target, now + ServingPolicy::kWaitEpsS);
             continue;
         }
 
@@ -183,99 +252,56 @@ simulateServingTrace(const ServingConfig &config,
         const std::size_t batch =
             std::min<std::size_t>(queue.size(), config.max_batch);
         h_batch.record(static_cast<double>(batch));
-        std::size_t shape_batch = batch;
-        if (config.pow2_buckets) {
-            std::size_t padded = 1;
-            while (padded < batch)
-                padded <<= 1;
-            shape_batch = std::min(padded, config.max_batch);
-        }
-        const double base_service = latency(shape_batch);
+        const double base_service = latency(config.shapeBatch(batch));
 
-        // Per-batch fault outcome: the initial attempt runs at full
-        // speed; each retry re-executes on the degraded (remapped)
-        // engine after a capped exponential backoff. Draws key on the
-        // batch index so rate sweeps see coupled (monotonic) outcomes.
-        double service = base_service;
-        bool served = true;
-        std::size_t retries_this_batch = 0;
-        if (config.faults.enabled()) {
-            served = false;
-            service = 0.0;
-            const std::uint64_t batch_idx = stats.batches;
-            for (std::size_t attempt = 0;
-                 attempt <= config.faults.max_retries; ++attempt) {
-                service += attempt == 0
-                               ? base_service
-                               : base_service *
-                                     config.faults.degraded_service_factor;
-                const double u = faultHashUniform(
-                    config.faults.seed, kServingBatchFaultStream,
-                    batch_idx, attempt);
-                if (u >= config.faults.batch_fault_rate) {
-                    served = true;
-                    break;
-                }
-                if (attempt == config.faults.max_retries)
-                    break; // retries exhausted: the batch is lost
-                ++retries_this_batch;
-                service += config.faults.backoffFor(attempt);
+        // The initial attempt runs at full speed; each retry
+        // re-executes on the degraded (remapped) engine after the
+        // ladder's backoff.
+        double service = 0.0;
+        bool served = false;
+        std::size_t retries = 0;
+        for (std::size_t attempt = 0;; ++attempt) {
+            service += attempt == 0
+                           ? base_service
+                           : base_service *
+                                 config.faults.degraded_service_factor;
+            const LadderStep step =
+                config.ladderStep(stats.batches, attempt, false);
+            if (!step.faulted) {
+                served = true;
+                break;
             }
-            stats.batch_retries += retries_this_batch;
+            if (!step.retry)
+                break; // retries exhausted: the batch is lost
+            ++retries;
+            service += step.backoff_s;
         }
 
         const double done = now + service;
         for (std::size_t i = 0; i < batch; ++i) {
             const double lat = done - queue.front();
             queue.pop_front();
-            if (!served) {
-                ++stats.failed_requests;
+            stats.count(served, lat, config.deadline_s);
+            if (!served)
                 continue;
-            }
-            ++stats.completed;
             latencies.push_back(lat);
             h_latency.record(lat);
-            if (config.deadline_s > 0.0 && lat > config.deadline_s)
-                ++stats.timed_out;
         }
         busy += service;
         batch_size_sum += static_cast<double>(batch);
-        ++stats.batches;
-        if (!served)
-            ++stats.failed_batches;
-        else if (retries_this_batch > 0)
-            ++stats.degraded_batches;
+        stats.countBatch(served, retries);
         now = done;
     }
 
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        auto percentile = [&](double p) {
-            const std::size_t idx = static_cast<std::size_t>(
-                p * static_cast<double>(latencies.size() - 1));
-            return latencies[idx];
-        };
-
-        double sum = 0.0;
-        for (double l : latencies)
-            sum += l;
-
-        stats.mean_latency_s =
-            sum / static_cast<double>(latencies.size());
-        stats.p50_latency_s = percentile(0.50);
-        stats.p95_latency_s = percentile(0.95);
-        stats.p99_latency_s = percentile(0.99);
-    }
-
-    const std::size_t in_deadline = stats.completed - stats.timed_out;
+    stats.summarizeLatencies(latencies);
     stats.mean_batch_size =
         batch_size_sum / static_cast<double>(stats.batches);
     stats.throughput_rps =
         static_cast<double>(latencies.size()) / std::max(now, 1e-9);
     stats.goodput_rps =
-        static_cast<double>(in_deadline) / std::max(now, 1e-9);
+        static_cast<double>(stats.completed) / std::max(now, 1e-9);
     stats.utilization = busy / std::max(now, 1e-9);
-    stats.availability = static_cast<double>(in_deadline) /
+    stats.availability = static_cast<double>(stats.completed) /
                          static_cast<double>(stats.requests);
 
     c_requests.add(stats.requests);
@@ -298,7 +324,6 @@ simulateServingTrace(const ServingConfig &config,
 ServingStats
 ServingSimulator::simulate(const ServingConfig &config) const
 {
-    config.validate();
     const std::vector<double> arrivals = poissonArrivals(
         config.arrival_rate, config.horizon_s, config.seed);
     return simulateServingTrace(

@@ -16,7 +16,8 @@
  * backoff on a degraded (remapped) engine; exhausted retries fail the
  * batch, per-request deadlines convert late completions into timeouts,
  * and the stats report availability and degraded goodput alongside the
- * fault-free metrics.
+ * fault-free metrics. The policy (ServingPolicy) is the one the live
+ * runtime (serving_live.h) runs.
  */
 
 #ifndef PIMDL_RUNTIME_SERVING_H
@@ -63,74 +64,137 @@ struct ServingFaultProfile
     {
         return cappedBackoff(backoff_base_s, backoff_cap_s, retry);
     }
-
-    /** Throws std::runtime_error on nonsensical parameters. */
-    void validate() const;
 };
 
-/** Workload and policy of one serving simulation. */
-struct ServingConfig
+/** Terminal outcome of one dispatched request. */
+enum class RequestOutcome { InDeadline, Late, Failed };
+
+/** What follows one dispatch attempt on the fault/retry ladder. */
+struct LadderStep
+{
+    bool faulted = false; ///< executor fault or injected draw
+    bool retry = false;   ///< another attempt follows after backoff_s
+    double backoff_s = 0.0;
+};
+
+/**
+ * Batching, deadline and fault-retry policy of both serving paths:
+ * the discrete-event simulator (simulateServingTrace) and the live
+ * runtime (serving_live.h) make every policy decision here. It reads
+ * no clock; callers pass the times it decides on.
+ */
+struct ServingPolicy
+{
+    /** Max-wait slack: (front + max_wait) - front may land one ULP
+     * under max_wait, which would stall the DES clock. */
+    static constexpr double kWaitEpsS = 1e-9;
+
+    /** Largest batch the engine accepts. */
+    std::size_t max_batch = 64;
+    /** Dispatch a partial batch once its oldest request waited this
+     * long, seconds. */
+    double max_wait_s = 0.5;
+    /** Per-request completion deadline, seconds; requests served later
+     * count as timeouts against availability. 0 disables it. */
+    double deadline_s = 0.0;
+    /** Pad dispatched batches to the next power of two (bounded by
+     * max_batch): bounds the kernel shapes the auto-tuner plans for. */
+    bool pow2_buckets = true;
+    /** Per-batch fault semantics (disabled by default). */
+    ServingFaultProfile faults;
+
+    /** Throws std::runtime_error naming the bad field (faults
+     * included). */
+    void validate() const;
+
+    /** Dispatch now: @p queued requests fill a batch, or the oldest
+     * has waited @p oldest_wait_s >= max_wait_s. */
+    bool dispatchReady(std::size_t queued, double oldest_wait_s) const
+    {
+        return queued >= max_batch ||
+               oldest_wait_s >= max_wait_s - kWaitEpsS;
+    }
+
+    /** Executed batch shape for @p batch requests (pow2 bucket). */
+    std::size_t shapeBatch(std::size_t batch) const;
+
+    /**
+     * One rung of the retry ladder: attempt @p attempt of the batch
+     * with 0-based dispatch ordinal @p ordinal faults when the
+     * executor did (@p executor_faulted) or the kServingBatchFaultStream
+     * draw falls under batch_fault_rate. Draws key on the ordinal so
+     * rate sweeps see coupled (monotonic) outcomes.
+     */
+    LadderStep ladderStep(std::uint64_t ordinal, std::size_t attempt,
+                          bool executor_faulted) const;
+};
+
+/** Workload of one serving simulation, on top of its policy. */
+struct ServingConfig : ServingPolicy
 {
     /** Mean request arrival rate, requests/second (Poisson process). */
     double arrival_rate = 10.0;
-    /** Largest batch the engine accepts. */
-    std::size_t max_batch = 64;
-    /** Dispatch a partial batch once its oldest request waited this long. */
-    double max_wait_s = 0.5;
     /** Simulated wall-clock span, seconds. */
     double horizon_s = 300.0;
     /** Scheduler the engine estimates batches with (plan/schedule.h). */
     SchedulePolicy policy = SchedulePolicy::Sequential;
-    /**
-     * Pad dispatched batches up to the next power of two (bounded by
-     * max_batch): standard bucketing that bounds the number of distinct
-     * kernel shapes the auto-tuner must plan for.
-     */
-    bool pow2_buckets = true;
     std::uint64_t seed = 1;
-    /**
-     * Per-request completion deadline, seconds; requests served later
-     * count as timeouts against availability. 0 disables the deadline.
-     */
-    double deadline_s = 0.0;
-    /** Per-batch fault semantics (disabled by default). */
-    ServingFaultProfile faults;
 
     /** Throws std::runtime_error with a field-naming message when bad. */
     void validate() const;
 };
 
-/** Aggregate metrics of a simulation run. */
-struct ServingStats
+/**
+ * Request and batch accounting both serving paths report. Every
+ * dispatched request lands in exactly one of completed, timed_out and
+ * failed_requests.
+ */
+struct ServingOutcomeStats
 {
-    std::size_t requests = 0;
     std::size_t batches = 0;
     double mean_batch_size = 0.0;
-    /** Completed requests per second of simulated time. */
-    double throughput_rps = 0.0;
-    /** Request latency (queueing + service), seconds. */
+    /** Latency (queueing + service) over served requests, seconds. */
     double mean_latency_s = 0.0;
     double p50_latency_s = 0.0;
     double p95_latency_s = 0.0;
     double p99_latency_s = 0.0;
-    /** Fraction of the horizon the engine spent serving. */
-    double utilization = 0.0;
-
-    // Failure accounting (all zero when the fault profile is disabled).
-    /** Requests whose batch eventually executed. */
+    /** Requests served within the deadline (all served requests when
+     * no deadline is set). */
     std::size_t completed = 0;
+    /** Requests served past the deadline. */
+    std::size_t timed_out = 0;
     /** Requests lost to batches that exhausted their retries. */
     std::size_t failed_requests = 0;
-    /** Requests served after the deadline_s budget. */
-    std::size_t timed_out = 0;
     /** Dispatch attempts that were retried after a batch fault. */
     std::size_t batch_retries = 0;
     /** Batches that exhausted retries and were dropped. */
     std::size_t failed_batches = 0;
     /** Batches that completed but needed at least one retry. */
     std::size_t degraded_batches = 0;
-    /** Requests served within deadline / total requests. */
+    /** completed / requests the path accepted. */
     double availability = 1.0;
+
+    /** Classifies one dispatched request and counts it: Failed unless
+     * @p served, Late when a deadline (@p deadline_s > 0) is set and
+     * @p latency_s exceeds it. */
+    RequestOutcome count(bool served, double latency_s, double deadline_s);
+
+    /** Counts one executed batch that took @p retries retries. */
+    void countBatch(bool served, std::size_t retries);
+
+    /** Mean and nearest-rank p50/p95/p99 of @p latencies (sorted in
+     * place); no-op when empty. */
+    void summarizeLatencies(std::vector<double> &latencies);
+};
+
+/** Aggregate metrics of a simulation run. */
+struct ServingStats : ServingOutcomeStats
+{
+    std::size_t requests = 0;
+    /** Served requests per second of simulated time. */
+    double throughput_rps = 0.0;
+    /** Fraction of the horizon the engine spent serving. */
+    double utilization = 0.0;
     /** Deadline-meeting completions per second (degraded throughput). */
     double goodput_rps = 0.0;
 };

@@ -7,7 +7,6 @@
 #include <exception>
 
 #include "common/logging.h"
-#include "fault/fault.h"
 #include "obs/trace.h"
 
 namespace pimdl {
@@ -24,15 +23,6 @@ constexpr double kVirtualPollSliceS = 200e-6;
 
 /** EWMA weight of the newest served batch latency. */
 constexpr double kServiceEwmaAlpha = 0.2;
-
-std::size_t
-pow2Bucket(std::size_t batch, std::size_t max_batch)
-{
-    std::size_t padded = 1;
-    while (padded < batch)
-        padded <<= 1;
-    return std::min(padded, max_batch);
-}
 
 /** Scope guard over an atomic in-flight counter. */
 class ActiveGuard
@@ -81,14 +71,9 @@ FunctionalBatchExecutor::execute(const Tensor &tokens,
 void
 LiveServingConfig::validate() const
 {
-    PIMDL_REQUIRE(max_batch > 0, "max_batch must be positive");
-    PIMDL_REQUIRE(std::isfinite(max_wait_s) && max_wait_s >= 0.0,
-                  "max_wait_s must be finite and non-negative");
+    ServingPolicy::validate();
     PIMDL_REQUIRE(queue_capacity > 0, "queue_capacity must be positive");
     PIMDL_REQUIRE(workers > 0, "workers must be positive");
-    PIMDL_REQUIRE(std::isfinite(deadline_s) && deadline_s >= 0.0,
-                  "deadline_s must be finite and non-negative (0 = off)");
-    faults.validate();
     resilience.validate();
 }
 
@@ -103,17 +88,27 @@ LiveServingRuntime::PendingRequest::fulfill(LiveRequestResult &&result)
     promise.set_value(std::move(result));
 }
 
+LiveRequestResult
+LiveServingRuntime::PendingRequest::resultAt(LiveRequestStatus status,
+                                             double done_s) const
+{
+    LiveRequestResult result;
+    result.status = status;
+    result.request_id = id;
+    result.tenant = tenant;
+    result.enqueue_s = enqueue_s;
+    result.done_s = done_s;
+    result.queue_wait_s = done_s - enqueue_s;
+    result.latency_s = result.queue_wait_s;
+    return result;
+}
+
 LiveServingRuntime::PendingRequest::~PendingRequest()
 {
     if (fulfilled)
         return;
-    LiveRequestResult result;
-    result.status = LiveRequestStatus::Failed;
-    result.request_id = id;
-    result.tenant = tenant;
-    result.enqueue_s = enqueue_s;
     try {
-        fulfill(std::move(result));
+        fulfill(resultAt(LiveRequestStatus::Failed, enqueue_s));
     } catch (...) {
         // A dead promise (teardown race) is already what the net
         // exists to paper over; never throw from a destructor.
@@ -235,8 +230,9 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
     PIMDL_REQUIRE(input.rows() > 0 && input.cols() > 0,
                   "submitted request tensor must be non-empty");
     {
+        // Shape check first: a request that throws here is never
+        // submitted, so admitted = submitted - rejected stays exact.
         MutexLock lock(stats_mu_);
-        ++acc_.submitted;
         if (pinned_rows_ == 0) {
             pinned_rows_ = input.rows();
             pinned_cols_ = input.cols();
@@ -245,13 +241,12 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
                           input.cols() == pinned_cols_,
                       "every request must match the first request's "
                       "(seq_len x hidden) shape");
+        ++acc_.submitted;
     }
     m_.requests->add(1);
 
     if (draining_.load(std::memory_order_acquire)) {
-        MutexLock lock(stats_mu_);
-        ++acc_.rejected;
-        m_.rejected->add(1);
+        reject(false);
         return std::nullopt;
     }
 
@@ -260,11 +255,7 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
         static_cast<double>(
             inflight_.load(std::memory_order_relaxed)) >=
             inflight_limit_.load(std::memory_order_relaxed)) {
-        MutexLock lock(stats_mu_);
-        ++acc_.rejected;
-        ++acc_.overload_rejected;
-        m_.rejected->add(1);
-        m_.overload_rejected->add(1);
+        reject(true);
         return std::nullopt;
     }
 
@@ -274,27 +265,20 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
     req->tenant = tenant;
     req->input = std::move(input);
     req->enqueue_s = now;
-    bool has_deadline = false;
-    if (deadline_budget_s >= 0.0) {
-        req->deadline_abs_s = now + deadline_budget_s;
-        has_deadline = true;
-    } else if (config_.deadline_s > 0.0) {
-        req->deadline_abs_s = now + config_.deadline_s;
-        has_deadline = true;
-    }
+    req->deadline_s =
+        deadline_budget_s >= 0.0 ? deadline_budget_s : config_.deadline_s;
     std::future<LiveRequestResult> future = req->promise.get_future();
 
     // Shed at admission instead of wasting a queue slot and batcher
     // work on a doomed request: the deadline already passed, or the
-    // estimated queue delay alone exceeds the remaining budget. The
-    // has_deadline flag (not deadline_abs_s > 0) covers an explicit
-    // budget of 0 at virtual time 0, where the absolute deadline
-    // collides with the "no deadline" sentinel.
-    if (has_deadline) {
-        bool doomed = now >= req->deadline_abs_s;
+    // estimated queue delay alone exceeds the remaining budget. An
+    // explicit budget of 0 is already expired, not "no deadline".
+    if (deadline_budget_s >= 0.0 || req->deadline_s > 0.0) {
+        const double deadline_abs = now + req->deadline_s;
+        bool doomed = now >= deadline_abs;
         if (!doomed && ov.admission_shedding)
             doomed = now + ov.shed_delay_factor * estimatedQueueDelayS() >=
-                     req->deadline_abs_s;
+                     deadline_abs;
         if (doomed) {
             fulfillShed(std::move(req), now, /*at_admission=*/true);
             return future;
@@ -308,9 +292,7 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
         // and drop the request here — its destructor net resolves the
         // (discarded) future and releases the in-flight slot.
         req.reset();
-        MutexLock lock(stats_mu_);
-        ++acc_.rejected;
-        m_.rejected->add(1);
+        reject(false);
         return std::nullopt;
     }
     m_.queue_depth->set(static_cast<double>(request_queue_.size()));
@@ -325,15 +307,15 @@ LiveServingRuntime::batcherLoop()
         BatchTask task;
         task.requests.push_back(std::move(front));
 
-        while (task.requests.size() < config_.max_batch) {
+        for (;;) {
             const double waited =
                 clock_->now() - task.requests.front()->enqueue_s;
-            const double remaining = config_.max_wait_s - waited;
-            if (remaining <= 0.0)
+            if (config_.dispatchReady(task.requests.size(), waited))
                 break;
             std::unique_ptr<PendingRequest> next;
-            const double slice =
-                clock_->isVirtual() ? kVirtualPollSliceS : remaining;
+            const double slice = clock_->isVirtual()
+                                     ? kVirtualPollSliceS
+                                     : config_.max_wait_s - waited;
             if (request_queue_.popFor(next, slice)) {
                 task.requests.push_back(std::move(next));
             } else if (request_queue_.closed() &&
@@ -359,7 +341,7 @@ LiveServingRuntime::dispatch(BatchTask &&task)
     std::vector<std::unique_ptr<PendingRequest>> keep;
     keep.reserve(task.requests.size());
     for (auto &req : task.requests) {
-        if (req->deadline_abs_s > 0.0 && now >= req->deadline_abs_s)
+        if (req->deadline_s > 0.0 && now >= req->enqueue_s + req->deadline_s)
             fulfillShed(std::move(req), now, /*at_admission=*/false);
         else
             keep.push_back(std::move(req));
@@ -376,18 +358,22 @@ LiveServingRuntime::dispatch(BatchTask &&task)
 }
 
 void
+LiveServingRuntime::reject(bool overload)
+{
+    m_.rejected->add(1);
+    if (overload)
+        m_.overload_rejected->add(1);
+    MutexLock lock(stats_mu_);
+    ++acc_.rejected;
+    if (overload)
+        ++acc_.overload_rejected;
+}
+
+void
 LiveServingRuntime::fulfillShed(std::unique_ptr<PendingRequest> req,
                                 double now, bool at_admission)
 {
-    LiveRequestResult result;
-    result.status = LiveRequestStatus::Shed;
-    result.request_id = req->id;
-    result.tenant = req->tenant;
-    result.enqueue_s = req->enqueue_s;
-    result.done_s = now;
-    result.queue_wait_s = now - req->enqueue_s;
-    result.latency_s = result.queue_wait_s;
-    req->fulfill(std::move(result));
+    req->fulfill(req->resultAt(LiveRequestStatus::Shed, now));
     m_.shed->add(1);
     if (at_admission)
         m_.shed_admission->add(1);
@@ -402,16 +388,10 @@ LiveServingRuntime::failBatch(BatchTask task, double now)
 {
     const std::size_t batch = task.requests.size();
     for (auto &req : task.requests) {
-        LiveRequestResult result;
-        result.status = LiveRequestStatus::Failed;
-        result.request_id = req->id;
-        result.tenant = req->tenant;
+        LiveRequestResult result =
+            req->resultAt(LiveRequestStatus::Failed, now);
         result.batch_id = task.id;
         result.batch_size = batch;
-        result.enqueue_s = req->enqueue_s;
-        result.done_s = now;
-        result.queue_wait_s = now - req->enqueue_s;
-        result.latency_s = result.queue_wait_s;
         req->fulfill(std::move(result));
     }
     m_.failed_requests->add(batch);
@@ -450,9 +430,7 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     span.attr("batch_size", static_cast<std::uint64_t>(batch));
     const std::size_t seq = task.requests.front()->input.rows();
     const std::size_t hidden = task.requests.front()->input.cols();
-    const std::size_t shape_batch =
-        config_.pow2_buckets ? pow2Bucket(batch, config_.max_batch)
-                             : batch;
+    const std::size_t shape_batch = config_.shapeBatch(batch);
 
     // Batch input: stack request rows; padding rows (shape bucketing)
     // stay zero.
@@ -484,7 +462,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         ws->requests = std::move(task.requests);
     }
 
-    const ServingFaultProfile &faults = config_.faults;
     Tensor output;
     bool served = false;
     std::size_t retries = 0;
@@ -498,7 +475,7 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             m_.breaker_short_circuited->add(1);
     }
     for (std::size_t attempt = task.attempts_done;
-         attempt <= faults.max_retries; ++attempt) {
+         attempt <= config_.faults.max_retries; ++attempt) {
         const bool degraded = attempt > 0 || !breaker_primary;
         bool faulted = false;
         if (chaos_ != nullptr) {
@@ -525,17 +502,13 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
                     clock_->sleepFor(extra);
             }
         }
-        if (!faulted && faults.enabled()) {
-            // Same draw stream and keying as the analytical simulator,
-            // so a fixed profile faults the same batch indices here
-            // and there.
-            const double u =
-                faultHashUniform(faults.seed, kServingBatchFaultStream,
-                                 task.id, attempt);
-            faulted = u < faults.batch_fault_rate;
-        }
+        // Batch ids count dispatches from 1 (0 marks a request shed
+        // before dispatch); the ladder keys on the 0-based dispatch
+        // ordinal, as the simulator does.
+        const LadderStep step =
+            config_.ladderStep(task.id - 1, attempt, faulted);
         if (!degraded) {
-            if (faulted)
+            if (step.faulted)
                 breaker_->recordFailure();
             else
                 breaker_->recordSuccess();
@@ -547,14 +520,14 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             ws->attempts_done = attempt + 1;
             ws->heartbeat_s = clock_->now();
         }
-        if (!faulted) {
+        if (!step.faulted) {
             served = true;
             break;
         }
-        if (attempt == faults.max_retries)
+        if (!step.retry)
             break; // retries exhausted: the batch is lost
         ++retries;
-        clock_->sleepFor(faults.backoffFor(attempt));
+        clock_->sleepFor(step.backoff_s);
     }
     const double done = clock_->now();
     const double service = done - start;
@@ -583,13 +556,16 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         return;
     }
 
+    // Every executed batch counts, bisected parents included.
+    m_.batches->add(1);
+    m_.batch_retries->add(retries);
+    m_.batch_size->record(static_cast<double>(batch));
+    m_.batch_service_s->record(service);
     if (!served) {
         if (config_.resilience.bisect_poison && batch > 1) {
             // The whole batch exhausted its retries — isolate the
             // poison by bisection instead of failing the innocents.
             m_.bisections->add(1);
-            m_.batches->add(1);
-            m_.batch_retries->add(retries);
             {
                 MutexLock lock(stats_mu_);
                 ++acc_.bisections;
@@ -632,39 +608,24 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         }
     }
 
-    std::size_t completed = 0;
-    std::size_t in_deadline = 0;
-    std::size_t timed_out = 0;
+    ServingOutcomeStats tally; // this batch's request outcomes
     std::vector<double> batch_latencies;
-    std::vector<double> batch_waits;
     batch_latencies.reserve(batch);
     for (std::size_t i = 0; i < batch; ++i) {
         std::unique_ptr<PendingRequest> &req = task.requests[i];
-        LiveRequestResult result;
-        result.request_id = req->id;
-        result.tenant = req->tenant;
+        LiveRequestResult result =
+            req->resultAt(LiveRequestStatus::Failed, done);
         result.batch_id = task.id;
         result.batch_size = batch;
-        result.enqueue_s = req->enqueue_s;
-        result.done_s = done;
         result.queue_wait_s = start - req->enqueue_s;
         result.service_s = service;
-        result.latency_s = done - req->enqueue_s;
-        if (!served) {
-            result.status = LiveRequestStatus::Failed;
-            m_.failed_requests->add(1);
-        } else {
-            const bool late = req->deadline_abs_s > 0.0 &&
-                              done > req->deadline_abs_s;
-            result.status = late ? LiveRequestStatus::TimedOut
-                                 : LiveRequestStatus::Completed;
-            ++completed;
-            if (late)
-                ++timed_out;
-            else
-                ++in_deadline;
+        const RequestOutcome outcome =
+            tally.count(served, result.latency_s, req->deadline_s);
+        if (outcome != RequestOutcome::Failed) {
+            result.status = outcome == RequestOutcome::Late
+                                ? LiveRequestStatus::TimedOut
+                                : LiveRequestStatus::Completed;
             batch_latencies.push_back(result.latency_s);
-            batch_waits.push_back(result.queue_wait_s);
             m_.request_latency_s->record(result.latency_s);
             m_.queue_wait_s->record(result.queue_wait_s);
             if (config_.collect_outputs) {
@@ -677,14 +638,11 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         req->fulfill(std::move(result));
     }
 
-    m_.completed->add(completed);
-    m_.deadline_timeouts->add(timed_out);
-    m_.batches->add(1);
-    m_.batch_retries->add(retries);
+    m_.completed->add(tally.completed);
+    m_.deadline_timeouts->add(tally.timed_out);
+    m_.failed_requests->add(tally.failed_requests);
     if (!served)
         m_.failed_batches->add(1);
-    m_.batch_size->record(static_cast<double>(batch));
-    m_.batch_service_s->record(service);
 
     if (served) {
         // Feed the service EWMA (queue-delay estimate, watchdog
@@ -700,28 +658,18 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     }
 
     MutexLock lock(stats_mu_);
-    acc_.completed += completed;
-    acc_.completed_in_deadline += in_deadline;
-    acc_.timed_out += timed_out;
-    if (!served)
-        acc_.failed_requests += batch;
-    ++acc_.batches;
-    acc_.batch_retries += retries;
-    if (!served) {
-        ++acc_.failed_batches;
-        aimdDecreaseLocked();
-    } else if (retries > 0) {
-        ++acc_.degraded_batches;
-        aimdDecreaseLocked();
-    } else {
+    acc_.completed += tally.completed;
+    acc_.timed_out += tally.timed_out;
+    acc_.failed_requests += tally.failed_requests;
+    acc_.countBatch(served, retries);
+    if (served && retries == 0)
         aimdIncreaseLocked();
-    }
+    else
+        aimdDecreaseLocked();
     batch_size_sum_ += static_cast<double>(batch);
     acc_.busy_s += service;
     latencies_.insert(latencies_.end(), batch_latencies.begin(),
                       batch_latencies.end());
-    queue_waits_.insert(queue_waits_.end(), batch_waits.begin(),
-                        batch_waits.end());
 }
 
 double
@@ -899,37 +847,15 @@ LiveServingRuntime::statsLocked() const
     if (stats.batches > 0)
         stats.mean_batch_size =
             batch_size_sum_ / static_cast<double>(stats.batches);
-    if (!latencies_.empty()) {
-        std::vector<double> sorted = latencies_;
-        std::sort(sorted.begin(), sorted.end());
-        auto percentile = [&](double p) {
-            const std::size_t idx = static_cast<std::size_t>(
-                p * static_cast<double>(sorted.size() - 1));
-            return sorted[idx];
-        };
-        double sum = 0.0;
-        for (double l : sorted)
-            sum += l;
-        stats.mean_latency_s =
-            sum / static_cast<double>(sorted.size());
-        stats.p50_latency_s = percentile(0.50);
-        stats.p95_latency_s = percentile(0.95);
-        stats.p99_latency_s = percentile(0.99);
-    }
-    if (!queue_waits_.empty()) {
-        double sum = 0.0;
-        for (double w : queue_waits_)
-            sum += w;
-        stats.mean_queue_wait_s =
-            sum / static_cast<double>(queue_waits_.size());
-    }
+    std::vector<double> sorted = latencies_;
+    stats.summarizeLatencies(sorted);
     stats.breaker_opens = breaker_->opens();
     stats.inflight_limit =
         inflight_limit_.load(std::memory_order_relaxed);
     const std::size_t admitted = stats.submitted - stats.rejected;
     if (admitted > 0)
         stats.availability =
-            static_cast<double>(stats.completed_in_deadline) /
+            static_cast<double>(stats.completed) /
             static_cast<double>(admitted);
     return stats;
 }

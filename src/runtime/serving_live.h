@@ -8,10 +8,10 @@
  * full queue rejects instead of buffering unboundedly), a batcher
  * thread forms batches under a max-batch/max-wait policy, and a worker
  * pool drives a real executor (the functional transformer) while the
- * batcher keeps forming the next batch — continuous batching. Batches
- * ride the same deterministic fault/retry ladder as the simulator
- * (shared draw stream kServingBatchFaultStream), and requests past
- * their deadline are shed at admission or dispatch.
+ * batcher keeps forming the next batch — continuous batching. The
+ * batching, bucketing and fault/retry decisions are the simulator's
+ * (ServingPolicy in serving.h), and requests past their deadline are
+ * shed at admission or dispatch.
  *
  * On top of that sits the resilience control plane (resilience.h):
  * a watchdog thread seizes batches from hung workers and respawns the
@@ -135,29 +135,26 @@ class FunctionalBatchExecutor final : public BatchExecutor
     LinearBackendKind backend_;
 };
 
-/** Policy knobs of the live runtime. */
-struct LiveServingConfig
+/**
+ * Knobs of the live runtime: the batching/deadline/retry policy it
+ * shares with the simulator (deadline_s may be overridden per request
+ * by submit()), plus the runtime's own admission and execution knobs.
+ */
+struct LiveServingConfig : ServingPolicy
 {
-    /** Largest number of requests batched into one dispatch. */
-    std::size_t max_batch = 8;
-    /** Dispatch a partial batch once its oldest request waited this
-     * long, seconds. */
-    double max_wait_s = 2e-3;
+    LiveServingConfig()
+    {
+        max_batch = 8;
+        max_wait_s = 2e-3;
+    }
+
     /** Admission bound: submits beyond this depth are rejected. */
     std::size_t queue_capacity = 256;
     /** Worker threads executing dispatched batches. */
     std::size_t workers = 1;
-    /** Per-request deadline, seconds; 0 disables shedding/timeouts.
-     * submit() may override per request with an explicit budget. */
-    double deadline_s = 0.0;
-    /** Pad dispatched batches to the next power of two (bounded by
-     * max_batch), matching the simulator's shape bucketing. */
-    bool pow2_buckets = true;
     /** Slice per-request outputs out of the batch output (off for
      * load tests that only measure latency). */
     bool collect_outputs = true;
-    /** Per-batch fault semantics, shared with the simulator. */
-    ServingFaultProfile faults;
     /** Control-plane resilience: watchdog, breaker, overload,
      * poison bisection. */
     ResilienceConfig resilience;
@@ -165,8 +162,9 @@ struct LiveServingConfig
     void validate() const;
 };
 
-/** Aggregate counters and latency stats of a runtime's lifetime. */
-struct LiveServingStats
+/** Aggregate counters and latency stats of a runtime's lifetime;
+ * availability is completed / admitted (submitted - rejected). */
+struct LiveServingStats : ServingOutcomeStats
 {
     /** submit() calls, including rejected ones. */
     std::size_t submitted = 0;
@@ -176,25 +174,11 @@ struct LiveServingStats
     /** Rejections due specifically to the AIMD in-flight limit
      * (subset of rejected). */
     std::size_t overload_rejected = 0;
-    /** Requests served (deadline met or no deadline). */
-    std::size_t completed = 0;
-    /** Completed requests that met the deadline (== completed when no
-     * deadline is configured). */
-    std::size_t completed_in_deadline = 0;
-    /** Requests served past the deadline. */
-    std::size_t timed_out = 0;
     /** Requests dropped pre-execution (admission or dispatch). */
     std::size_t shed = 0;
     /** Sheds decided at admission time (subset of shed): deadline
      * already expired, or the estimated queue delay doomed it. */
     std::size_t shed_admission = 0;
-    /** Requests lost to batches that exhausted retries. */
-    std::size_t failed_requests = 0;
-    std::size_t batches = 0;
-    std::size_t batch_retries = 0;
-    std::size_t failed_batches = 0;
-    /** Batches that completed but needed at least one retry. */
-    std::size_t degraded_batches = 0;
     /** Hung batches seized from their worker by the watchdog. */
     std::size_t watchdog_hangs = 0;
     /** Worker slots respawned after a seizure. */
@@ -208,20 +192,11 @@ struct LiveServingStats
     std::size_t poison_isolated = 0;
     /** Times the circuit breaker opened. */
     std::size_t breaker_opens = 0;
-    double mean_batch_size = 0.0;
     /** Total batch execution time across workers, seconds. */
     double busy_s = 0.0;
-    /** Latency over served requests (queueing + service), seconds. */
-    double mean_latency_s = 0.0;
-    double p50_latency_s = 0.0;
-    double p95_latency_s = 0.0;
-    double p99_latency_s = 0.0;
-    double mean_queue_wait_s = 0.0;
     /** Current AIMD in-flight limit (the static pipeline capacity
      * when AIMD is off). */
     double inflight_limit = 0.0;
-    /** completed_in_deadline / admitted (submitted - rejected). */
-    double availability = 1.0;
 };
 
 /**
@@ -298,8 +273,8 @@ class LiveServingRuntime
         std::uint64_t tenant = 0;
         Tensor input;
         double enqueue_s = 0.0;
-        /** Absolute deadline, clock seconds; 0 = none. */
-        double deadline_abs_s = 0.0;
+        /** Deadline budget from enqueue_s, seconds; 0 = none. */
+        double deadline_s = 0.0;
         std::promise<LiveRequestResult> promise;
         /** In-flight slot held against the AIMD limit; released by
          * fulfill(). */
@@ -309,6 +284,11 @@ class LiveServingRuntime
         /** Resolves the future exactly once and releases the
          * in-flight slot; later calls are no-ops. */
         void fulfill(LiveRequestResult &&result);
+
+        /** Result resolved at @p done_s without a batch: the whole
+         * latency is queue wait. */
+        LiveRequestResult resultAt(LiveRequestStatus status,
+                                   double done_s) const;
 
         /** Safety net: a request destroyed unfulfilled (executor
          * unwound past the worker, teardown race) still resolves its
@@ -397,6 +377,8 @@ class LiveServingRuntime
         PIMDL_EXCLUDES(stats_mu_);
     void fulfillShed(std::unique_ptr<PendingRequest> req, double now,
                      bool at_admission) PIMDL_EXCLUDES(stats_mu_);
+    /** Counts a submit refused at the admission boundary. */
+    void reject(bool overload) PIMDL_EXCLUDES(stats_mu_);
     /** Terminal failure of a whole batch (retries exhausted with
      * bisection off/exhausted, or watchdog give-up). */
     void failBatch(BatchTask task, double now)
@@ -451,7 +433,6 @@ class LiveServingRuntime
     LiveServingStats acc_ PIMDL_GUARDED_BY(stats_mu_);
     double batch_size_sum_ PIMDL_GUARDED_BY(stats_mu_) = 0.0;
     std::vector<double> latencies_ PIMDL_GUARDED_BY(stats_mu_);
-    std::vector<double> queue_waits_ PIMDL_GUARDED_BY(stats_mu_);
     /** Shape pin: every request must match the first one. */
     std::size_t pinned_rows_ PIMDL_GUARDED_BY(stats_mu_) = 0;
     std::size_t pinned_cols_ PIMDL_GUARDED_BY(stats_mu_) = 0;

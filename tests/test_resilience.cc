@@ -447,6 +447,14 @@ TEST(ServingLiveResilience, BisectionIsolatesPoisonRequest)
     innocents.push_back(requestTensor(2, 4, 12));
     innocents.push_back(requestTensor(2, 4, 13));
 
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+    const std::uint64_t batches0 =
+        reg.counter("serving.live.batches").value();
+    const std::uint64_t sizes0 =
+        reg.histogram("serving.live.batch_size").count();
+    const std::uint64_t services0 =
+        reg.histogram("serving.live.batch_service_s").count();
+
     auto fp = runtime.submit(poison);
     auto f1 = runtime.submit(innocents[0]);
     auto f2 = runtime.submit(innocents[1]);
@@ -476,6 +484,16 @@ TEST(ServingLiveResilience, BisectionIsolatesPoisonRequest)
     EXPECT_EQ(stats.failed_requests, 1u);
     EXPECT_EQ(stats.failed_batches, 1u)
         << "only the isolated poison singleton is a terminal failure";
+    // Bisected parents are batches too: each records its size and
+    // service time like any other executed batch.
+    const std::uint64_t batches =
+        reg.counter("serving.live.batches").value() - batches0;
+    EXPECT_EQ(batches, stats.batches);
+    EXPECT_EQ(reg.histogram("serving.live.batch_size").count() - sizes0,
+              batches);
+    EXPECT_EQ(
+        reg.histogram("serving.live.batch_service_s").count() - services0,
+        batches);
 }
 
 TEST(ServingLiveResilience, BisectionOffFailsWholeBatch)

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -360,9 +361,8 @@ TEST(ServingLive, VirtualServiceTimePastDeadlineTimesOut)
     EXPECT_DOUBLE_EQ(r.service_s, 1.0);
     runtime.drain();
     const LiveServingStats stats = runtime.stats();
-    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.completed, 0u) << "completed counts in-deadline only";
     EXPECT_EQ(stats.timed_out, 1u);
-    EXPECT_EQ(stats.completed_in_deadline, 0u);
     EXPECT_DOUBLE_EQ(stats.availability, 0.0);
 }
 
@@ -501,6 +501,135 @@ TEST(ServingLive, AdmissionControlRejectsWhenPipelineFull)
     for (auto &f : futures)
         EXPECT_EQ(f.get().status, LiveRequestStatus::Completed);
     EXPECT_EQ(runtime.stats().rejected, rejected);
+}
+
+TEST(ServingLive, ShapeMismatchLeavesConservationExact)
+{
+    ManualClock clock;
+    StubExecutor executor(&clock, 0.0);
+    LiveServingConfig cfg;
+    cfg.max_batch = 1;
+    cfg.max_wait_s = 0.0;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+
+    std::vector<std::future<LiveRequestResult>> futures;
+    auto first = runtime.submit(requestTensor(2, 4, 0));
+    ASSERT_TRUE(first.has_value());
+    futures.push_back(std::move(*first));
+    EXPECT_THROW(runtime.submit(requestTensor(3, 4, 1)), std::runtime_error);
+    for (std::size_t i = 2; i < 5; ++i) {
+        auto f = runtime.submit(requestTensor(2, 4, i));
+        ASSERT_TRUE(f.has_value());
+        futures.push_back(std::move(*f));
+    }
+    runtime.drain();
+    for (auto &f : futures)
+        EXPECT_EQ(f.get().status, LiveRequestStatus::Completed);
+    const LiveServingStats stats = runtime.stats();
+    EXPECT_EQ(stats.submitted, 4u) << "a refused shape is not submitted";
+    EXPECT_EQ(stats.completed + stats.timed_out + stats.shed +
+                  stats.failed_requests,
+              stats.submitted - stats.rejected);
+    EXPECT_DOUBLE_EQ(stats.availability, 1.0);
+}
+
+// ---------------------------------------------------------------------
+// One ServingPolicy, two paths: the simulator and the live runtime
+// agree on the fault ladder and on outcome accounting.
+// ---------------------------------------------------------------------
+
+TEST(ServingLivePolicy, FaultLadderMatchesSimulator)
+{
+    // Batch k is request k on both paths (max_batch = 1), and its
+    // retries are readable on both: a live batch's service time is
+    // its backoff (1 virtual second per retry, zero-time executor),
+    // and extending the DES trace by request k adds exactly batch k's
+    // retries. The fault draws must land on the same batches.
+    constexpr std::size_t kRequests = 24;
+    ManualClock clock;
+    StubExecutor executor(&clock, 0.0);
+    LiveServingConfig cfg;
+    cfg.max_batch = 1;
+    cfg.max_wait_s = 0.0;
+    cfg.faults.batch_fault_rate = 0.3;
+    cfg.faults.backoff_base_s = 1.0;
+    cfg.faults.backoff_cap_s = 1.0;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+    std::vector<std::future<LiveRequestResult>> futures;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        auto f = runtime.submit(requestTensor(2, 4, i));
+        ASSERT_TRUE(f.has_value());
+        futures.push_back(std::move(*f));
+    }
+    runtime.drain();
+    const LiveServingStats live = runtime.stats();
+
+    ServingConfig des;
+    static_cast<ServingPolicy &>(des) = cfg;
+    std::vector<double> arrivals;
+    ServingStats prev;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        arrivals.push_back(static_cast<double>(i));
+        des.horizon_s = static_cast<double>(i + 1);
+        const ServingStats sim = simulateServingTrace(
+            des, arrivals, [](std::size_t) { return 0.1; });
+        const LiveRequestResult r = futures[i].get();
+        EXPECT_EQ(sim.batch_retries - prev.batch_retries,
+                  static_cast<std::size_t>(std::lround(r.service_s)))
+            << "batch " << i;
+        EXPECT_EQ(sim.failed_requests - prev.failed_requests,
+                  r.status == LiveRequestStatus::Failed ? 1u : 0u)
+            << "batch " << i;
+        prev = sim;
+    }
+    EXPECT_GT(prev.failed_batches, 0u) << "the profile must fail a batch";
+    EXPECT_EQ(live.batches, prev.batches);
+    EXPECT_EQ(live.batch_retries, prev.batch_retries);
+    EXPECT_EQ(live.failed_batches, prev.failed_batches);
+    EXPECT_EQ(live.degraded_batches, prev.degraded_batches);
+}
+
+TEST(ServingLivePolicy, DeadlineTimeoutsConserveOnBothPaths)
+{
+    // Live: service takes 1 virtual second. The first request's 0.5 s
+    // budget is live at dispatch (t = 0) and blown by completion; the
+    // second's 100 s budget is met.
+    ManualClock clock;
+    StubExecutor executor(&clock, 1.0);
+    LiveServingConfig cfg;
+    cfg.max_batch = 1;
+    cfg.max_wait_s = 0.0;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+    auto late = runtime.submit(requestTensor(2, 4, 0), 0, 0.5);
+    auto in_time = runtime.submit(requestTensor(2, 4, 1), 0, 100.0);
+    ASSERT_TRUE(late.has_value() && in_time.has_value());
+    EXPECT_EQ(late->get().status, LiveRequestStatus::TimedOut);
+    EXPECT_EQ(in_time->get().status, LiveRequestStatus::Completed);
+    runtime.drain();
+    const LiveServingStats live = runtime.stats();
+    EXPECT_EQ(live.completed, 1u);
+    EXPECT_EQ(live.timed_out, 1u);
+    EXPECT_EQ(live.completed + live.timed_out + live.shed +
+                  live.failed_requests,
+              live.submitted - live.rejected);
+    EXPECT_DOUBLE_EQ(live.availability, 0.5);
+
+    // Simulator: three simultaneous arrivals served one per second
+    // against a 1.5 s deadline finish at 1, 2 and 3 s.
+    ServingConfig des;
+    des.max_batch = 1;
+    des.max_wait_s = 0.0;
+    des.deadline_s = 1.5;
+    des.horizon_s = 1.0;
+    const ServingStats sim = simulateServingTrace(
+        des, {0.0, 0.0, 0.0}, [](std::size_t) { return 1.0; });
+    EXPECT_EQ(sim.completed, 1u);
+    EXPECT_EQ(sim.timed_out, 2u);
+    EXPECT_EQ(sim.completed + sim.timed_out + sim.failed_requests,
+              sim.requests);
+    EXPECT_DOUBLE_EQ(sim.availability, 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(sim.mean_latency_s, 2.0)
+        << "late requests still count in the latency summary";
 }
 
 // ---------------------------------------------------------------------
