@@ -211,9 +211,9 @@ main(int argc, char **argv)
               << TablePrinter::fmt(kErrorBound * 100.0, 0) << "%\n";
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    reg.gauge("backend.xval.mean_rel_err").set(mean_err);
-    reg.gauge("backend.xval.max_rel_err").set(max_err);
-    reg.gauge("backend.xval.bound").set(kErrorBound);
+    reg.gauge(metrics::kBackendXvalMeanRelErr).set(mean_err);
+    reg.gauge(metrics::kBackendXvalMaxRelErr).set(max_err);
+    reg.gauge(metrics::kBackendXvalBound).set(kErrorBound);
 
     // Section 2: co-located host traffic arbitration sweep (BERT-base).
     printBanner(std::cout,

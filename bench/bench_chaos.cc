@@ -116,12 +116,12 @@ writeChaosJson(const std::string &path,
     std::cerr << "[bench] chaos results written to " << path << "\n";
 }
 
-/** Reads a process-global chaos counter (0 when never registered). */
+/** Reads a process-global counter (0 when never registered). */
 std::size_t
-chaosCount(const char *name)
+counterValue(const obs::MetricDef &def)
 {
     return static_cast<std::size_t>(
-        obs::MetricsRegistry::instance().counter(name).value());
+        obs::MetricsRegistry::instance().counter(def).value());
 }
 
 } // namespace
@@ -307,17 +307,14 @@ main(int argc, char **argv)
 
         // Chaos counters are process-global and cumulative: take the
         // per-level delta around the run.
-        const std::size_t stalls0 = chaosCount("chaos.worker_stalls");
-        const std::size_t excs0 = chaosCount("chaos.exceptions");
-        const std::size_t slow0 = chaosCount("chaos.slow_batches");
-        const std::size_t hb0 = chaosCount("chaos.heartbeat_losses");
-
-        const std::size_t opens0 = [] {
-            return static_cast<std::size_t>(
-                obs::MetricsRegistry::instance()
-                    .counter("serving.live.breaker.opens")
-                    .value());
-        }();
+        const std::size_t stalls0 =
+            counterValue(metrics::kChaosWorkerStalls);
+        const std::size_t excs0 = counterValue(metrics::kChaosExceptions);
+        const std::size_t slow0 = counterValue(metrics::kChaosSlowBatches);
+        const std::size_t hb0 =
+            counterValue(metrics::kChaosHeartbeatLosses);
+        const std::size_t opens0 =
+            counterValue(metrics::kServingLiveBreakerOpens);
 
         LiveServingRuntime runtime(
             live_cfg, executor, nullptr,
@@ -349,11 +346,13 @@ main(int argc, char **argv)
         e.poison_isolated = s.poison_isolated;
         e.breaker_opens = s.breaker_opens - std::min(s.breaker_opens,
                                                      opens0);
-        e.chaos_stalls = chaosCount("chaos.worker_stalls") - stalls0;
-        e.chaos_exceptions = chaosCount("chaos.exceptions") - excs0;
-        e.chaos_slow = chaosCount("chaos.slow_batches") - slow0;
+        e.chaos_stalls =
+            counterValue(metrics::kChaosWorkerStalls) - stalls0;
+        e.chaos_exceptions =
+            counterValue(metrics::kChaosExceptions) - excs0;
+        e.chaos_slow = counterValue(metrics::kChaosSlowBatches) - slow0;
         e.chaos_heartbeat_losses =
-            chaosCount("chaos.heartbeat_losses") - hb0;
+            counterValue(metrics::kChaosHeartbeatLosses) - hb0;
 
         // Invariant 1: conservation. Every admitted request resolved
         // to exactly one terminal outcome.

@@ -452,16 +452,17 @@ main(int argc, char **argv)
               << " alone) + residency "
               << TablePrinter::fmt(resident_saved_s, 4)
               << " s; compute terms untouched.\n";
+    entries.push_back({"end2end_speedup", end2end_speedup});
+
+    // Artifacts first, so a failing gate still leaves them to diagnose.
+    if (emit_json)
+        writeTransferJson(json_path, entries);
+    writeBenchArtifacts(opts);
     if (end2end_speedup < 1.3) {
         std::cerr << "FAIL: transfer-engine end-to-end speedup "
                   << TablePrinter::fmtRatio(end2end_speedup)
                   << " < 1.3x on BERT-base batch 8\n";
         return 1;
     }
-    entries.push_back({"end2end_speedup", end2end_speedup});
-
-    if (emit_json)
-        writeTransferJson(json_path, entries);
-    writeBenchArtifacts(opts);
     return 0;
 }

@@ -97,7 +97,7 @@ makeTimingBackend(TimingBackendKind kind, PimPlatformConfig platform,
                   HostProcessorConfig host,
                   const TransactionSimConfig &txn_config)
 {
-    obs::MetricsRegistry::instance().gauge("backend.impl").set(
+    obs::MetricsRegistry::instance().gauge(metrics::kBackendImpl).set(
         kind == TimingBackendKind::Transaction ? 1.0 : 0.0);
     if (kind == TimingBackendKind::Transaction)
         return std::make_unique<TransactionBackend>(

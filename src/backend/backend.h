@@ -135,7 +135,7 @@ class TimingBackend : public LutTimingModel
 /**
  * Constructs a backend of @p kind bound to one platform/host pair.
  * @p txn_config only affects the transaction backend. Publishes the
- * "backend.impl" gauge (0 = analytical, 1 = transaction).
+ * metrics::kBackendImpl gauge (0 = analytical, 1 = transaction).
  */
 std::unique_ptr<TimingBackend>
 makeTimingBackend(TimingBackendKind kind, PimPlatformConfig platform,

@@ -632,13 +632,13 @@ TransactionBackend::publishNodeMetrics(const char *node_kind,
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &issued =
-        reg.counter("backend.txn.commands_issued");
+        reg.counter(metrics::kBackendTxnCommandsIssued);
     static obs::Counter &conflicts =
-        reg.counter("backend.txn.bank_conflicts");
+        reg.counter(metrics::kBackendTxnBankConflicts);
     static obs::Counter &switches =
-        reg.counter("backend.txn.mode_switches");
+        reg.counter(metrics::kBackendTxnModeSwitches);
     static obs::Counter &suppressed =
-        reg.counter("backend.txn.trace_suppressed");
+        reg.counter(metrics::kBackendTxnTraceSuppressed);
     issued.add(report.commands_issued);
     conflicts.add(report.bank_conflicts);
     switches.add(report.mode_switches);

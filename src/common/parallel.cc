@@ -74,14 +74,14 @@ parallelForBlocked(std::size_t count, std::size_t grain,
 
     // Cached metric references: the registry never invalidates them.
     static obs::Counter &calls =
-        obs::MetricsRegistry::instance().counter("parallel.calls");
+        obs::MetricsRegistry::instance().counter(metrics::kParallelCalls);
     static obs::Counter &items =
-        obs::MetricsRegistry::instance().counter("parallel.items");
+        obs::MetricsRegistry::instance().counter(metrics::kParallelItems);
     static obs::Gauge &worker_gauge =
-        obs::MetricsRegistry::instance().gauge("parallel.workers");
+        obs::MetricsRegistry::instance().gauge(metrics::kParallelWorkers);
     static obs::Histogram &utilization =
         obs::MetricsRegistry::instance().histogram(
-            "parallel.worker_utilization");
+            metrics::kParallelWorkerUtilization);
 
     calls.add();
     items.add(count);

@@ -38,10 +38,10 @@ ChaosInjector::ChaosInjector(ChaosConfig config)
 {
     config_.validate();
     auto &reg = obs::MetricsRegistry::instance();
-    stalls_ = &reg.counter("chaos.worker_stalls");
-    exceptions_ = &reg.counter("chaos.exceptions");
-    slow_batches_ = &reg.counter("chaos.slow_batches");
-    heartbeat_losses_ = &reg.counter("chaos.heartbeat_losses");
+    stalls_ = &reg.counter(metrics::kChaosWorkerStalls);
+    exceptions_ = &reg.counter(metrics::kChaosExceptions);
+    slow_batches_ = &reg.counter(metrics::kChaosSlowBatches);
+    heartbeat_losses_ = &reg.counter(metrics::kChaosHeartbeatLosses);
 }
 
 double

@@ -136,7 +136,7 @@ void
 publishImplGauge(const KernelTable &table)
 {
     static obs::Gauge &gauge =
-        obs::MetricsRegistry::instance().gauge("kernels.impl");
+        obs::MetricsRegistry::instance().gauge(metrics::kKernelsImpl);
     gauge.set(static_cast<double>(table.priority));
 }
 
@@ -211,9 +211,10 @@ recordCcsWork(std::size_t rows, std::size_t cb_count, std::size_t ct_count,
               std::size_t v_len)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_rows = reg.counter("kernels.ccs.rows");
-    static obs::Counter &c_subvecs = reg.counter("kernels.ccs.subvectors");
-    static obs::Counter &c_bytes = reg.counter("kernels.ccs.bytes");
+    static obs::Counter &c_rows = reg.counter(metrics::kKernelsCcsRows);
+    static obs::Counter &c_subvecs =
+        reg.counter(metrics::kKernelsCcsSubvectors);
+    static obs::Counter &c_bytes = reg.counter(metrics::kKernelsCcsBytes);
     c_rows.add(rows);
     c_subvecs.add(rows * cb_count);
     // Streamed bytes: the input row plus every candidate centroid and
@@ -227,9 +228,10 @@ recordLutWork(std::size_t rows, std::size_t cb_count, std::size_t f_count,
               std::size_t elem_bytes)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_rows = reg.counter("kernels.lut.rows");
-    static obs::Counter &c_elems = reg.counter("kernels.lut.elements");
-    static obs::Counter &c_bytes = reg.counter("kernels.lut.bytes");
+    static obs::Counter &c_rows = reg.counter(metrics::kKernelsLutRows);
+    static obs::Counter &c_elems =
+        reg.counter(metrics::kKernelsLutElements);
+    static obs::Counter &c_bytes = reg.counter(metrics::kKernelsLutBytes);
     c_rows.add(rows);
     c_elems.add(rows * cb_count * f_count);
     c_bytes.add(rows * cb_count * f_count * elem_bytes);
@@ -239,8 +241,9 @@ void
 recordAxpyWork(std::size_t elements)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_elems = reg.counter("kernels.axpy.elements");
-    static obs::Counter &c_bytes = reg.counter("kernels.axpy.bytes");
+    static obs::Counter &c_elems =
+        reg.counter(metrics::kKernelsAxpyElements);
+    static obs::Counter &c_bytes = reg.counter(metrics::kKernelsAxpyBytes);
     c_elems.add(elements);
     c_bytes.add(elements * 2 * sizeof(float));
 }

@@ -109,22 +109,42 @@ Histogram::reset()
 MetricsRegistry &
 MetricsRegistry::instance()
 {
-    static MetricsRegistry registry;
+    static MetricsRegistry registry(metrics::kDeclared);
     return registry;
+}
+
+MetricsRegistry::MetricsRegistry(std::span<const MetricDef> declared)
+{
+    for (const MetricDef &def : declared)
+        if (!declared_.emplace(def.name, def).second)
+            throw std::logic_error(std::string("metric '") + def.name +
+                                   "' is declared twice");
 }
 
 namespace {
 
-/** One name must keep one metric kind for the process lifetime. */
-void
-requireUnclaimed(const std::map<std::string, std::unique_ptr<Counter>> &a,
-                 const std::map<std::string, std::unique_ptr<Gauge>> &b,
-                 const std::map<std::string, std::unique_ptr<Histogram>> &c,
-                 const std::string &name)
+/** The metric @p name in @p metrics, created on first lookup once the
+ * declaration table confirms the name and its kind. */
+template <typename Metric>
+Metric &
+findOrCreate(std::map<std::string, std::unique_ptr<Metric>> &metrics,
+             const std::map<std::string, MetricDef> &declared,
+             const std::string &name, MetricKind kind)
 {
-    if (a.count(name) || b.count(name) || c.count(name))
+    auto it = metrics.find(name);
+    if (it != metrics.end())
+        return *it->second;
+    const auto row = declared.find(name);
+    if (row == declared.end())
         throw std::logic_error("metric '" + name +
-                               "' already registered with another kind");
+                               "' is not declared in obs/schema.h");
+    if (row->second.kind != kind)
+        throw std::logic_error(
+            "metric '" + name + "' is declared as a " +
+            metricKindName(row->second.kind) + ", not a " +
+            metricKindName(kind));
+    return *metrics.emplace(name, std::make_unique<Metric>())
+                .first->second;
 }
 
 } // namespace
@@ -133,36 +153,22 @@ Counter &
 MetricsRegistry::counter(const std::string &name)
 {
     MutexLock guard(mutex_);
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-        requireUnclaimed({}, gauges_, histograms_, name);
-        it = counters_.emplace(name, std::make_unique<Counter>()).first;
-    }
-    return *it->second;
+    return findOrCreate(counters_, declared_, name, MetricKind::Counter);
 }
 
 Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
     MutexLock guard(mutex_);
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-        requireUnclaimed(counters_, {}, histograms_, name);
-        it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
-    }
-    return *it->second;
+    return findOrCreate(gauges_, declared_, name, MetricKind::Gauge);
 }
 
 Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
     MutexLock guard(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        requireUnclaimed(counters_, gauges_, {}, name);
-        it = histograms_.emplace(name, std::make_unique<Histogram>()).first;
-    }
-    return *it->second;
+    return findOrCreate(histograms_, declared_, name,
+                        MetricKind::Histogram);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -243,6 +249,16 @@ MetricsRegistry::toJson() const
             << ",\"p50\":" << jsonNumber(s.p50)
             << ",\"p95\":" << jsonNumber(s.p95)
             << ",\"p99\":" << jsonNumber(s.p99) << "}";
+    }
+    out << "},\"declared\":{";
+    bool first = true;
+    for (const auto &[name, def] : declared_) {
+        out << (first ? "" : ",") << jsonString(name) << ":{\"kind\":"
+            << jsonString(metricKindName(def.kind))
+            << ",\"unit\":" << jsonString(def.unit)
+            << ",\"gate\":" << jsonString(metricGateName(def.gate))
+            << ",\"help\":" << jsonString(def.help) << "}";
+        first = false;
     }
     out << "}}";
     return out.str();

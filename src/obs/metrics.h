@@ -24,11 +24,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/schema.h"
 
 namespace pimdl {
 namespace obs {
@@ -132,19 +134,36 @@ class Histogram
 };
 
 /**
- * The process-wide metric namespace. Lookup is by dotted name
- * ("serving.request_latency_s"); the first lookup creates the metric,
- * later lookups return the same object. A name must keep one kind for
- * the process lifetime (looking it up as a different kind throws).
+ * A metric namespace over a declaration table (obs/schema.h). Lookup
+ * is by a row (metrics::kServingRequestLatencyS) or by its dotted name;
+ * the first lookup creates the metric, later lookups return the same
+ * object. Creating a metric whose name the table does not declare, or
+ * declares as another kind, throws std::logic_error; the check runs
+ * once per metric, not on updates.
  */
 class MetricsRegistry
 {
   public:
+    /** The process-wide registry over the production table. */
     static MetricsRegistry &instance();
+
+    /**
+     * A registry accepting exactly the rows of @p declared (tests build
+     * one over rows of their own), whose strings must outlive it.
+     * Throws std::logic_error on a duplicate name.
+     */
+    explicit MetricsRegistry(std::span<const MetricDef> declared);
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
+
+    Counter &counter(const MetricDef &def) { return counter(def.name); }
+    Gauge &gauge(const MetricDef &def) { return gauge(def.name); }
+    Histogram &histogram(const MetricDef &def)
+    {
+        return histogram(def.name);
+    }
 
     /** Sorted name/value views for exporters and tests. */
     std::vector<std::pair<std::string, std::uint64_t>> counters() const;
@@ -160,12 +179,14 @@ class MetricsRegistry
 
     /**
      * The metrics section of the snapshot artifact:
-     * {"counters":{...},"gauges":{...},"histograms":{...}}.
+     * {"counters":{...},"gauges":{...},"histograms":{...},
+     *  "declared":{name:{"kind","unit","gate","help"}}}.
      */
     std::string toJson() const;
 
   private:
-    MetricsRegistry() = default;
+    /** Immutable after construction, so read without the lock. */
+    std::map<std::string, MetricDef> declared_;
 
     mutable Mutex mutex_{"obs.metrics.registry"};
     std::map<std::string, std::unique_ptr<Counter>> counters_

@@ -34,23 +34,23 @@ struct LockOrderMirror
         MutexLock lock(mu);
         MetricsRegistry &reg = MetricsRegistry::instance();
         const analysis::LockOrderStats now = analysis::lockOrderStats();
-        reg.counter("analysis.lockorder.acquisitions")
+        reg.counter(metrics::kLockOrderAcquisitions)
             .add(now.acquisitions - last.acquisitions);
-        reg.counter("analysis.lockorder.edges")
+        reg.counter(metrics::kLockOrderEdges)
             .add(now.edges_added - last.edges_added);
-        reg.counter("analysis.lockorder.cycles")
+        reg.counter(metrics::kLockOrderCycles)
             .add(now.cycles - last.cycles);
-        reg.counter("analysis.lockorder.self_lock")
+        reg.counter(metrics::kLockOrderSelfLock)
             .add(now.self_locks - last.self_locks);
-        reg.counter("analysis.lockorder.wait_while_holding")
+        reg.counter(metrics::kLockOrderWaitWhileHolding)
             .add(now.wait_while_holding - last.wait_while_holding);
-        reg.counter("analysis.lockorder.hold_budget_exceeded")
+        reg.counter(metrics::kLockOrderHoldBudgetExceeded)
             .add(now.hold_budget_exceeded - last.hold_budget_exceeded);
-        reg.gauge("analysis.lockorder.enabled")
+        reg.gauge(metrics::kLockOrderEnabled)
             .set(analysis::deadlockCheckEnabled() ? 1.0 : 0.0);
-        reg.gauge("analysis.lockorder.locks_live")
+        reg.gauge(metrics::kLockOrderLocksLive)
             .set(static_cast<double>(now.locks_live));
-        reg.gauge("analysis.lockorder.edges_live")
+        reg.gauge(metrics::kLockOrderEdgesLive)
             .set(static_cast<double>(now.edges_live));
         last = now;
     }

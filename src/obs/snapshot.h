@@ -15,13 +15,16 @@ namespace pimdl {
 namespace obs {
 
 /** Schema identifier embedded in every snapshot. */
-inline constexpr const char *kSnapshotSchema = "pimdl.metrics.v1";
+inline constexpr const char *kSnapshotSchema = "pimdl.metrics.v2";
 
 /**
  * Serializes the current process observability state:
- * {"schema":"pimdl.metrics.v1","counters":{...},"gauges":{...},
+ * {"schema":"pimdl.metrics.v2","counters":{...},"gauges":{...},
  *  "histograms":{name:{count,sum,min,max,mean,p50,p95,p99}},
+ *  "declared":{name:{kind,unit,gate,help}},
  *  "trace":{"recorded":N,"retained":M,"dropped":D}}.
+ * "declared" is the obs/schema.h table, so the artifact names the
+ * keys each check_metrics.py mode requires.
  */
 std::string snapshotJson();
 

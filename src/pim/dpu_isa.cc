@@ -14,10 +14,11 @@ void
 publishDpuRunStats(const DpuRunStats &stats)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &runs = reg.counter("dpu.kernel_runs");
-    static obs::Counter &instructions = reg.counter("dpu.instructions");
-    static obs::Counter &cycles = reg.counter("dpu.cycles");
-    static obs::Counter &dma_bytes = reg.counter("dpu.dma_bytes");
+    static obs::Counter &runs = reg.counter(metrics::kDpuKernelRuns);
+    static obs::Counter &instructions =
+        reg.counter(metrics::kDpuInstructions);
+    static obs::Counter &cycles = reg.counter(metrics::kDpuCycles);
+    static obs::Counter &dma_bytes = reg.counter(metrics::kDpuDmaBytes);
     runs.add();
     instructions.add(stats.instructions);
     cycles.add(stats.cycles);

@@ -1,5 +1,6 @@
 #include "engine.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "backend/analytical.h"
@@ -36,6 +37,31 @@ hostDtypeLabel(HostDtype dtype)
     return "?";
 }
 
+/** The CCS and LUT gauges of one LinearRole. */
+struct RoleGauges
+{
+    const obs::MetricDef &ccs_s;
+    const obs::MetricDef &lut_s;
+};
+
+RoleGauges
+roleGauges(LinearRole role)
+{
+    switch (role) {
+    case LinearRole::QkvProjection:
+        return {metrics::kEngineRoleQkvCcsS, metrics::kEngineRoleQkvLutS};
+    case LinearRole::OutProjection:
+        return {metrics::kEngineRoleOCcsS, metrics::kEngineRoleOLutS};
+    case LinearRole::Ffn1:
+        return {metrics::kEngineRoleFfn1CcsS,
+                metrics::kEngineRoleFfn1LutS};
+    case LinearRole::Ffn2:
+        return {metrics::kEngineRoleFfn2CcsS,
+                metrics::kEngineRoleFfn2LutS};
+    }
+    throw std::logic_error("unknown LinearRole");
+}
+
 /** Publishes the metrics the seed engine exported for PIM-DL runs. */
 void
 publishPimDlMetrics(const InferenceEstimate &est)
@@ -44,14 +70,15 @@ publishPimDlMetrics(const InferenceEstimate &est)
     // Per-LinearRole CCS/LUT split (the Figure 11-(b) breakdown),
     // published as gauges holding the most recent estimate.
     for (const LinearLatency &layer : est.per_linear) {
-        const std::string role = linearRoleName(layer.role);
-        reg.gauge("engine.role." + role + ".ccs_s").set(layer.ccs_s);
-        reg.gauge("engine.role." + role + ".lut_s").set(layer.lut_s);
+        const RoleGauges gauges = roleGauges(layer.role);
+        reg.gauge(gauges.ccs_s).set(layer.ccs_s);
+        reg.gauge(gauges.lut_s).set(layer.lut_s);
     }
-    static obs::Counter &estimates = reg.counter("engine.estimates");
-    static obs::Histogram &h_ccs = reg.histogram("engine.ccs_s");
-    static obs::Histogram &h_lut = reg.histogram("engine.lut_s");
-    static obs::Histogram &h_total = reg.histogram("engine.total_s");
+    static obs::Counter &estimates =
+        reg.counter(metrics::kEngineEstimates);
+    static obs::Histogram &h_ccs = reg.histogram(metrics::kEngineCcsS);
+    static obs::Histogram &h_lut = reg.histogram(metrics::kEngineLutS);
+    static obs::Histogram &h_total = reg.histogram(metrics::kEngineTotalS);
     estimates.add();
     h_ccs.record(est.ccs_s);
     h_lut.record(est.lut_s);
@@ -122,7 +149,7 @@ PimDlEngine::estimate(const TransformerConfig &model,
         scheduled = scheduler.schedule(costed);
     }
     obs::MetricsRegistry::instance()
-        .counter("plan.nodes_scheduled")
+        .counter(metrics::kPlanNodesScheduled)
         .add(plan.nodes.size());
     if (verify::verifyPlansEnabled()) {
         verify::requireClean(verify::verifyScheduleResult(

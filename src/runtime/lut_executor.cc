@@ -87,13 +87,14 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     span.attr("model_s", result.cost.total());
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &runs = reg.counter("lut.runs");
-    static obs::Counter &pe_kernels = reg.counter("lut.pe_kernels");
-    static obs::Counter &link_bytes = reg.counter("lut.link_bytes");
-    static obs::Counter &stream_bytes = reg.counter("lut.pe_stream_bytes");
-    static obs::Counter &cycles = reg.counter("lut.model_cycles");
+    static obs::Counter &runs = reg.counter(metrics::kLutRuns);
+    static obs::Counter &pe_kernels = reg.counter(metrics::kLutPeKernels);
+    static obs::Counter &link_bytes = reg.counter(metrics::kLutLinkBytes);
+    static obs::Counter &stream_bytes =
+        reg.counter(metrics::kLutPeStreamBytes);
+    static obs::Counter &cycles = reg.counter(metrics::kLutModelCycles);
     static obs::Histogram &model_latency =
-        reg.histogram("lut.model_latency_s");
+        reg.histogram(metrics::kLutModelLatencyS);
 
     runs.add();
     pe_kernels.add(groups * lanes);
@@ -236,23 +237,25 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         result.fault.hard_failed_pes = hard_failed;
 
         static obs::Counter &c_fallbacks =
-            reg.counter("fault.lut.host_fallbacks");
+            reg.counter(metrics::kFaultLutHostFallbacks);
         static obs::Counter &c_transient =
-            reg.counter("fault.injected.pe_transient");
+            reg.counter(metrics::kFaultInjectedPeTransient);
         static obs::Counter &c_bitflip =
-            reg.counter("fault.injected.lut_bitflip");
+            reg.counter(metrics::kFaultInjectedLutBitflip);
         static obs::Counter &c_corrupt =
-            reg.counter("fault.injected.transfer_corrupt");
+            reg.counter(metrics::kFaultInjectedTransferCorrupt);
         static obs::Counter &c_stall =
-            reg.counter("fault.injected.transfer_stall");
-        static obs::Counter &c_retries = reg.counter("fault.lut.retries");
+            reg.counter(metrics::kFaultInjectedTransferStall);
+        static obs::Counter &c_retries =
+            reg.counter(metrics::kFaultLutRetries);
         static obs::Counter &c_mismatches =
-            reg.counter("fault.lut.checksum_mismatches");
+            reg.counter(metrics::kFaultLutChecksumMismatches);
         static obs::Counter &c_remapped =
-            reg.counter("fault.lut.tiles_remapped");
-        static obs::Counter &c_dead = reg.counter("fault.lut.dead_pes");
+            reg.counter(metrics::kFaultLutTilesRemapped);
+        static obs::Counter &c_dead =
+            reg.counter(metrics::kFaultLutDeadPes);
         static obs::Histogram &h_added =
-            reg.histogram("fault.lut.added_latency_s");
+            reg.histogram(metrics::kFaultLutAddedLatencyS);
 
         DegradedLutRemap remap;
         if (hard_failed > 0) {

@@ -97,17 +97,19 @@ ResilienceConfig::validate() const
 }
 
 CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig &config,
-                               Clock *clock,
-                               const std::string &metric_prefix)
+                               Clock *clock)
     : config_(config), clock_(clock)
 {
     config_.validate();
     if (clock_ == nullptr)
         throw std::runtime_error("CircuitBreaker requires a clock");
-    state_gauge_ = &registry().gauge(metric_prefix + ".state");
-    opens_counter_ = &registry().counter(metric_prefix + ".opens");
-    closes_counter_ = &registry().counter(metric_prefix + ".closes");
-    probes_counter_ = &registry().counter(metric_prefix + ".probes");
+    state_gauge_ = &registry().gauge(metrics::kServingLiveBreakerState);
+    opens_counter_ =
+        &registry().counter(metrics::kServingLiveBreakerOpens);
+    closes_counter_ =
+        &registry().counter(metrics::kServingLiveBreakerCloses);
+    probes_counter_ =
+        &registry().counter(metrics::kServingLiveBreakerProbes);
     state_gauge_->set(static_cast<double>(BreakerState::Closed));
 }
 

@@ -132,8 +132,8 @@ struct CircuitBreakerConfig
  * failures open the breaker and pin traffic to the degraded fallback
  * without paying detect+retry per batch; after a cooldown a few
  * probes test the primary and either close the breaker or re-open
- * it. Publishes its state and transition counts under
- * "<metric_prefix>.{state,opens,closes,probes}".
+ * it. Publishes its state and transition counts as the
+ * serving.live.breaker.{state,opens,closes,probes} metrics.
  *
  * Thread-safe; time comes from the injected Clock so ManualClock
  * tests control the cooldown.
@@ -141,8 +141,7 @@ struct CircuitBreakerConfig
 class CircuitBreaker
 {
   public:
-    CircuitBreaker(const CircuitBreakerConfig &config, Clock *clock,
-                   const std::string &metric_prefix);
+    CircuitBreaker(const CircuitBreakerConfig &config, Clock *clock);
 
     /** True when the caller may run the primary path now. Always true
      * when disabled. HalfOpen admits a bounded number of probes. */

@@ -181,28 +181,31 @@ simulateServingTrace(const ServingConfig &config,
     span.attr("max_batch", static_cast<std::uint64_t>(config.max_batch));
     span.attr("horizon_s", config.horizon_s);
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_requests = reg.counter("serving.requests");
-    static obs::Counter &c_batches = reg.counter("serving.batches");
+    static obs::Counter &c_requests =
+        reg.counter(metrics::kServingRequests);
+    static obs::Counter &c_batches = reg.counter(metrics::kServingBatches);
     static obs::Histogram &h_latency =
-        reg.histogram("serving.request_latency_s");
-    static obs::Histogram &h_batch = reg.histogram("serving.batch_size");
-    static obs::Histogram &h_queue = reg.histogram("serving.queue_depth");
-    static obs::Gauge &g_util = reg.gauge("serving.utilization");
+        reg.histogram(metrics::kServingRequestLatencyS);
+    static obs::Histogram &h_batch =
+        reg.histogram(metrics::kServingBatchSize);
+    static obs::Histogram &h_queue =
+        reg.histogram(metrics::kServingQueueDepth);
+    static obs::Gauge &g_util = reg.gauge(metrics::kServingUtilization);
     // Fault-schema metrics are registered unconditionally so the
     // snapshot artifact carries stable fault.* keys even for fault-free
     // runs (check_metrics.py validates their presence).
     static obs::Counter &c_f_retries =
-        reg.counter("fault.serving.batch_retries");
+        reg.counter(metrics::kFaultServingBatchRetries);
     static obs::Counter &c_f_failed_batches =
-        reg.counter("fault.serving.failed_batches");
+        reg.counter(metrics::kFaultServingFailedBatches);
     static obs::Counter &c_f_failed_requests =
-        reg.counter("fault.serving.failed_requests");
+        reg.counter(metrics::kFaultServingFailedRequests);
     static obs::Counter &c_f_timeouts =
-        reg.counter("fault.serving.deadline_timeouts");
+        reg.counter(metrics::kFaultServingDeadlineTimeouts);
     static obs::Counter &c_f_degraded =
-        reg.counter("fault.serving.degraded_batches");
+        reg.counter(metrics::kFaultServingDegradedBatches);
     static obs::Gauge &g_f_avail =
-        reg.gauge("fault.serving.availability");
+        reg.gauge(metrics::kFaultServingAvailability);
 
     ServingStats stats;
     stats.requests = arrivals.size();

@@ -128,42 +128,42 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
                   "serving.live.work_queue")
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    m_.requests = &reg.counter("serving.live.requests");
-    m_.rejected = &reg.counter("serving.live.rejected");
+    m_.requests = &reg.counter(metrics::kServingLiveRequests);
+    m_.rejected = &reg.counter(metrics::kServingLiveRejected);
     m_.overload_rejected =
-        &reg.counter("serving.live.overload_rejected");
-    m_.completed = &reg.counter("serving.live.completed");
-    m_.shed = &reg.counter("serving.live.shed");
-    m_.shed_admission = &reg.counter("serving.live.shed_admission");
+        &reg.counter(metrics::kServingLiveOverloadRejected);
+    m_.completed = &reg.counter(metrics::kServingLiveCompleted);
+    m_.shed = &reg.counter(metrics::kServingLiveShed);
+    m_.shed_admission = &reg.counter(metrics::kServingLiveShedAdmission);
     m_.deadline_timeouts =
-        &reg.counter("serving.live.deadline_timeouts");
-    m_.failed_requests = &reg.counter("serving.live.failed_requests");
-    m_.batches = &reg.counter("serving.live.batches");
-    m_.batch_retries = &reg.counter("serving.live.batch_retries");
-    m_.failed_batches = &reg.counter("serving.live.failed_batches");
-    m_.watchdog_hangs = &reg.counter("serving.live.watchdog.hangs");
+        &reg.counter(metrics::kServingLiveDeadlineTimeouts);
+    m_.failed_requests = &reg.counter(metrics::kServingLiveFailedRequests);
+    m_.batches = &reg.counter(metrics::kServingLiveBatches);
+    m_.batch_retries = &reg.counter(metrics::kServingLiveBatchRetries);
+    m_.failed_batches = &reg.counter(metrics::kServingLiveFailedBatches);
+    m_.watchdog_hangs = &reg.counter(metrics::kServingLiveWatchdogHangs);
     m_.watchdog_respawns =
-        &reg.counter("serving.live.watchdog.respawns");
+        &reg.counter(metrics::kServingLiveWatchdogRespawns);
     m_.watchdog_discarded =
-        &reg.counter("serving.live.watchdog.discarded");
-    m_.bisections = &reg.counter("serving.live.bisections");
-    m_.poison_isolated = &reg.counter("serving.live.poison_isolated");
+        &reg.counter(metrics::kServingLiveWatchdogDiscarded);
+    m_.bisections = &reg.counter(metrics::kServingLiveBisections);
+    m_.poison_isolated = &reg.counter(metrics::kServingLivePoisonIsolated);
     m_.breaker_short_circuited =
-        &reg.counter("serving.live.breaker.short_circuited");
-    m_.queue_depth = &reg.gauge("serving.live.queue_depth");
-    m_.availability = &reg.gauge("serving.live.availability");
-    m_.inflight_limit = &reg.gauge("serving.live.inflight_limit");
+        &reg.counter(metrics::kServingLiveBreakerShortCircuited);
+    m_.queue_depth = &reg.gauge(metrics::kServingLiveQueueDepth);
+    m_.availability = &reg.gauge(metrics::kServingLiveAvailability);
+    m_.inflight_limit = &reg.gauge(metrics::kServingLiveInflightLimit);
     m_.request_latency_s =
-        &reg.histogram("serving.live.request_latency_s");
-    m_.queue_wait_s = &reg.histogram("serving.live.queue_wait_s");
-    m_.batch_size = &reg.histogram("serving.live.batch_size");
+        &reg.histogram(metrics::kServingLiveRequestLatencyS);
+    m_.queue_wait_s = &reg.histogram(metrics::kServingLiveQueueWaitS);
+    m_.batch_size = &reg.histogram(metrics::kServingLiveBatchSize);
     m_.batch_service_s =
-        &reg.histogram("serving.live.batch_service_s");
+        &reg.histogram(metrics::kServingLiveBatchServiceS);
     m_.batch_queue_depth =
-        &reg.histogram("serving.live.batch_queue_depth");
+        &reg.histogram(metrics::kServingLiveBatchQueueDepth);
 
-    breaker_ = std::make_unique<CircuitBreaker>(
-        config_.resilience.breaker, clock_, "serving.live.breaker");
+    breaker_ = std::make_unique<CircuitBreaker>(config_.resilience.breaker,
+                                                clock_);
 
     const OverloadConfig &ov = config_.resilience.overload;
     batch_service_ewma_.store(ov.assumed_batch_latency_s,
@@ -841,14 +841,23 @@ LiveServingRuntime::drain()
 }
 
 LiveServingStats
-LiveServingRuntime::statsLocked() const
+LiveServingRuntime::stats() const
 {
-    LiveServingStats stats = acc_;
+    // Copy under the lock, sort outside it: every worker takes
+    // stats_mu_ to account each batch.
+    LiveServingStats stats;
+    double batch_size_sum = 0.0;
+    std::vector<double> latencies;
+    {
+        MutexLock lock(stats_mu_);
+        stats = acc_;
+        batch_size_sum = batch_size_sum_;
+        latencies = latencies_;
+    }
     if (stats.batches > 0)
         stats.mean_batch_size =
-            batch_size_sum_ / static_cast<double>(stats.batches);
-    std::vector<double> sorted = latencies_;
-    stats.summarizeLatencies(sorted);
+            batch_size_sum / static_cast<double>(stats.batches);
+    stats.summarizeLatencies(latencies);
     stats.breaker_opens = breaker_->opens();
     stats.inflight_limit =
         inflight_limit_.load(std::memory_order_relaxed);
@@ -858,13 +867,6 @@ LiveServingRuntime::statsLocked() const
             static_cast<double>(stats.completed) /
             static_cast<double>(admitted);
     return stats;
-}
-
-LiveServingStats
-LiveServingRuntime::stats() const
-{
-    MutexLock lock(stats_mu_);
-    return statsLocked();
 }
 
 std::size_t

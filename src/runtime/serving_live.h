@@ -392,7 +392,6 @@ class LiveServingRuntime
     double hangTimeoutS() const;
     void aimdIncreaseLocked() PIMDL_REQUIRES(stats_mu_);
     void aimdDecreaseLocked() PIMDL_REQUIRES(stats_mu_);
-    LiveServingStats statsLocked() const PIMDL_REQUIRES(stats_mu_);
 
     LiveServingConfig config_;
     BatchExecutor &executor_;

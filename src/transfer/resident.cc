@@ -19,12 +19,14 @@ bool
 ResidentLutManager::touch(std::uint64_t key, double bytes)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_hits = reg.counter("transfer.resident_hits");
+    static obs::Counter &c_hits =
+        reg.counter(metrics::kTransferResidentHits);
     static obs::Counter &c_misses =
-        reg.counter("transfer.resident_misses");
+        reg.counter(metrics::kTransferResidentMisses);
     static obs::Counter &c_evictions =
-        reg.counter("transfer.evictions");
-    static obs::Gauge &g_bytes = reg.gauge("transfer.resident_bytes");
+        reg.counter(metrics::kTransferEvictions);
+    static obs::Gauge &g_bytes =
+        reg.gauge(metrics::kTransferResidentBytes);
 
     bool hit = false;
     std::uint64_t evicted = 0;

@@ -96,13 +96,14 @@ TransferScheduler::recordFill(double bytes, double wall_s,
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &c_bursts =
-        reg.counter("transfer.staged_bursts");
-    static obs::Counter &c_bytes = reg.counter("transfer.staged_bytes");
-    static obs::Counter &c_stalls = reg.counter("transfer.stalls");
+        reg.counter(metrics::kTransferStagedBursts);
+    static obs::Counter &c_bytes =
+        reg.counter(metrics::kTransferStagedBytes);
+    static obs::Counter &c_stalls = reg.counter(metrics::kTransferStalls);
     static obs::Counter &c_retries =
-        reg.counter("transfer.corrupt_retries");
+        reg.counter(metrics::kTransferCorruptRetries);
     static obs::Histogram &h_wall =
-        reg.histogram("transfer.stage_wall_s");
+        reg.histogram(metrics::kTransferStageWallS);
     {
         MutexLock lock(stats_mu_);
         ++stats_.bursts_staged;

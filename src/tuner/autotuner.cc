@@ -172,9 +172,9 @@ AutoTuner::kernelSearch(const LutWorkloadShape &shape, std::size_t ns_tile,
 
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     static obs::Counter &evaluated =
-        reg.counter("tuner.mappings_evaluated");
+        reg.counter(metrics::kTunerMappingsEvaluated);
     static obs::Counter &pruned_total =
-        reg.counter("tuner.mappings_pruned");
+        reg.counter(metrics::kTunerMappingsPruned);
     evaluated.add(best.evaluated);
     pruned_total.add(pruned);
     return best;
@@ -190,9 +190,9 @@ AutoTuner::tune(const LutWorkloadShape &shape) const
     span.attr("f", static_cast<std::uint64_t>(shape.f));
     const auto wall_start = std::chrono::steady_clock::now();
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &searches = reg.counter("tuner.searches");
+    static obs::Counter &searches = reg.counter(metrics::kTunerSearches);
     static obs::Histogram &wall_hist =
-        reg.histogram("tuner.search_wall_s");
+        reg.histogram(metrics::kTunerSearchWallS);
     searches.add();
     auto search = [&](bool full_pe) {
         AutoTuneResult best;

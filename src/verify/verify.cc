@@ -144,11 +144,13 @@ PassManager::run(const Plan &plan,
                  const PimPlatformConfig *platform) const
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_plans = reg.counter("verify.plans_verified");
-    static obs::Counter &c_passes = reg.counter("verify.passes_run");
-    static obs::Counter &c_diags = reg.counter("verify.diagnostics");
-    static obs::Counter &c_errors = reg.counter("verify.errors");
-    static obs::Histogram &h_wall = reg.histogram("verify.wall_s");
+    static obs::Counter &c_plans =
+        reg.counter(metrics::kVerifyPlansVerified);
+    static obs::Counter &c_passes = reg.counter(metrics::kVerifyPassesRun);
+    static obs::Counter &c_diags =
+        reg.counter(metrics::kVerifyDiagnostics);
+    static obs::Counter &c_errors = reg.counter(metrics::kVerifyErrors);
+    static obs::Histogram &h_wall = reg.histogram(metrics::kVerifyWallS);
 
     obs::TraceSpan span("verify.plan");
     span.attr("nodes", static_cast<std::uint64_t>(plan.nodes.size()));

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -237,44 +238,68 @@ TEST(ObsHistogram, ResetClearsState)
     EXPECT_DOUBLE_EQ(hist.snapshot().max, 0.0);
 }
 
-TEST(ObsRegistry, CountersGaugesAndKindConflicts)
+/** Rows for the registries these tests build; not production rows. */
+constexpr obs::MetricDef kTestRows[] = {
+    {"test.counter", obs::MetricKind::Counter, "events",
+     obs::MetricGate::None, "test counter"},
+    {"test.gauge", obs::MetricKind::Gauge, "units", obs::MetricGate::None,
+     "test gauge"},
+    {"test.histogram", obs::MetricKind::Histogram, "s",
+     obs::MetricGate::Base, "test histogram"},
+    {"test.\"quoted\"\\name", obs::MetricKind::Counter, "events",
+     obs::MetricGate::None, "awkward name"},
+};
+
+TEST(ObsSchema, DeclaredNamesAreUniqueAndEveryRowHasAUnit)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    obs::Counter &c = reg.counter("test_obs.registry.counter");
-    c.add(3);
-    // Same name returns the same object.
-    EXPECT_EQ(reg.counter("test_obs.registry.counter").value(),
-              c.value());
+    std::set<std::string> names;
+    for (const obs::MetricDef &def : metrics::kDeclared) {
+        EXPECT_TRUE(names.insert(def.name).second) << def.name;
+        EXPECT_NE(std::string(def.unit), "") << def.name;
+        EXPECT_NE(std::string(def.help), "") << def.name;
+    }
+    const obs::MetricDef twice[] = {kTestRows[0], kTestRows[0]};
+    EXPECT_THROW(obs::MetricsRegistry reg(twice), std::logic_error);
+}
 
-    reg.gauge("test_obs.registry.gauge").set(2.5);
-    EXPECT_DOUBLE_EQ(reg.gauge("test_obs.registry.gauge").value(), 2.5);
+TEST(ObsRegistry, RefusesUndeclaredNamesAndKindMismatches)
+{
+    obs::MetricsRegistry reg(kTestRows);
+    obs::Counter &c = reg.counter(kTestRows[0]);
+    // Same name returns the same object, by row or by string.
+    EXPECT_EQ(&reg.counter("test.counter"), &c);
+    reg.gauge("test.gauge").set(2.5);
+    EXPECT_DOUBLE_EQ(reg.gauge(kTestRows[1]).value(), 2.5);
 
-    // One name, one kind.
-    EXPECT_THROW(reg.gauge("test_obs.registry.counter"),
-                 std::logic_error);
-    EXPECT_THROW(reg.histogram("test_obs.registry.gauge"),
-                 std::logic_error);
+    // One name, its declared kind, whether or not it exists yet.
+    EXPECT_THROW(reg.gauge("test.counter"), std::logic_error);
+    EXPECT_THROW(reg.counter("test.histogram"), std::logic_error);
+    EXPECT_THROW(reg.counter("test.undeclared"), std::logic_error);
+    // A production row is undeclared in a test registry.
+    EXPECT_THROW(reg.counter(metrics::kLutRuns), std::logic_error);
+    EXPECT_EQ(reg.counters().size(), 1u);
+
+    obs::MetricsRegistry &prod = obs::MetricsRegistry::instance();
+    EXPECT_THROW(prod.counter("test.counter"), std::logic_error);
+    EXPECT_THROW(prod.gauge(metrics::kLutRuns.name), std::logic_error);
 }
 
 TEST(ObsRegistry, ResetZeroesInPlaceKeepingReferencesValid)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    obs::Counter &c = reg.counter("test_obs.registry.reset");
+    obs::MetricsRegistry reg(kTestRows);
+    obs::Counter &c = reg.counter("test.counter");
     c.add(7);
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
     c.add(1); // the reference must still be live after reset()
-    EXPECT_EQ(reg.counter("test_obs.registry.reset").value(), 1u);
+    EXPECT_EQ(reg.counter("test.counter").value(), 1u);
 }
 
 TEST(ObsRegistry, CounterIncrementsAreThreadSafeUnderParallelFor)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    obs::Counter &c = reg.counter("test_obs.registry.parallel_counter");
-    obs::Histogram &h =
-        reg.histogram("test_obs.registry.parallel_hist");
-    c.reset();
-    h.reset();
+    obs::MetricsRegistry reg(kTestRows);
+    obs::Counter &c = reg.counter("test.counter");
+    obs::Histogram &h = reg.histogram("test.histogram");
 
     const std::size_t n = 20000;
     parallelFor(n, [&](std::size_t i) {
@@ -357,30 +382,33 @@ TEST(ObsTrace, DisabledTracerRecordsNothing)
 TEST(ObsSnapshot, JsonIsWellFormedAndCarriesSchema)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    reg.counter("test_obs.snapshot.counter").add(2);
-    reg.gauge("test_obs.snapshot.gauge").set(1.25);
-    obs::Histogram &h = reg.histogram("test_obs.snapshot.hist");
+    obs::Counter &c = reg.counter(metrics::kDpuKernelRuns);
+    c.add(2);
+    reg.gauge(metrics::kBackendXvalMaxRelErr).set(1.25);
+    obs::Histogram &h = reg.histogram(metrics::kLutModelLatencyS);
     for (int i = 0; i < 10; ++i)
         h.record(static_cast<double>(i));
 
     const std::string json = obs::snapshotJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
 
-    // Envelope: schema id plus the four top-level sections.
-    EXPECT_NE(json.find("\"schema\":\"pimdl.metrics.v1\""),
+    // Envelope: schema id plus the five top-level sections.
+    EXPECT_NE(json.find("\"schema\":\"pimdl.metrics.v2\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"counters\":"), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\":"), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\":"), std::string::npos);
-    EXPECT_NE(json.find("\"trace\":"), std::string::npos);
+    for (const char *section :
+         {"\"counters\":", "\"gauges\":", "\"histograms\":",
+          "\"declared\":", "\"trace\":"})
+        EXPECT_NE(json.find(section), std::string::npos) << section;
 
-    // The metrics registered above appear with their values.
-    EXPECT_NE(json.find("\"test_obs.snapshot.counter\":2"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"test_obs.snapshot.gauge\":1.25"),
+    // The metrics updated above appear with their values.
+    EXPECT_NE(
+        json.find("\"dpu.kernel_runs\":" + std::to_string(c.value())),
+        std::string::npos);
+    EXPECT_NE(json.find("\"backend.xval.max_rel_err\":1.25"),
               std::string::npos);
     // Histogram entries expose the full summary tuple.
-    const std::size_t hist_pos = json.find("\"test_obs.snapshot.hist\"");
+    const std::size_t hist_pos =
+        json.find("\"lut.model_latency_s\":{\"count\":");
     ASSERT_NE(hist_pos, std::string::npos);
     for (const char *key :
          {"\"count\":", "\"sum\":", "\"min\":", "\"max\":", "\"mean\":",
@@ -388,11 +416,23 @@ TEST(ObsSnapshot, JsonIsWellFormedAndCarriesSchema)
         EXPECT_NE(json.find(key, hist_pos), std::string::npos) << key;
 }
 
+TEST(ObsSnapshot, DeclaredSectionListsEveryRow)
+{
+    const std::string json = obs::snapshotJson();
+    const std::size_t declared = json.find("\"declared\":{");
+    ASSERT_NE(declared, std::string::npos);
+    for (const obs::MetricDef &def : metrics::kDeclared) {
+        const std::string row =
+            "\"" + std::string(def.name) + "\":{\"kind\":\"" +
+            obs::metricKindName(def.kind) + "\",\"unit\":\"" + def.unit +
+            "\",\"gate\":\"" + obs::metricGateName(def.gate) + "\"";
+        EXPECT_NE(json.find(row, declared), std::string::npos) << row;
+    }
+}
+
 TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
 {
-    // Drive the instrumented hot paths end-to-end on a shrunk model and
-    // assert the snapshot carries the keys CI's bench-smoke gate (and
-    // future perf-regression PRs) rely on.
+    // Drive the instrumented hot paths end-to-end on a shrunk model.
     const TransformerConfig model =
         customTransformer("obs-tf", 256, 2, 128, 4);
     PimDlEngine engine(upmemPlatform(), xeon4210Dual());
@@ -407,23 +447,26 @@ TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
     cfg.horizon_s = 10.0;
     (void)sim.simulate(cfg);
 
+    // Every base-gated row is published: the keys check_metrics.py
+    // requires of every snapshot.
     const std::string json = obs::snapshotJson();
     EXPECT_TRUE(JsonChecker(json).valid());
-    for (const char *key :
-         {"\"engine.role.QKV.ccs_s\"", "\"engine.role.QKV.lut_s\"",
-          "\"engine.role.FFN2.ccs_s\"", "\"engine.ccs_s\"",
-          "\"engine.lut_s\"", "\"serving.request_latency_s\"",
-          "\"serving.batch_size\"", "\"serving.queue_depth\"",
-          "\"tuner.searches\"", "\"tuner.mappings_evaluated\"",
-          "\"tuner.mappings_pruned\"", "\"tuner.search_wall_s\""})
-        EXPECT_NE(json.find(key), std::string::npos) << key;
+    const std::string published =
+        json.substr(0, json.find("\"declared\":"));
+    for (const obs::MetricDef &def : metrics::kDeclared) {
+        if (def.gate != obs::MetricGate::Base)
+            continue;
+        EXPECT_NE(published.find("\"" + std::string(def.name) + "\":"),
+                  std::string::npos)
+            << def.name;
+    }
 }
 
 TEST(ObsSnapshot, EscapesAwkwardMetricNames)
 {
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    reg.counter("test_obs.snapshot.\"quoted\"\\name").add(1);
-    const std::string json = obs::snapshotJson();
+    obs::MetricsRegistry reg(kTestRows);
+    reg.counter(kTestRows[3]).add(1);
+    const std::string json = reg.toJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
 }
 

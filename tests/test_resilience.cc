@@ -205,7 +205,7 @@ breakerConfig()
 TEST(CircuitBreakerTest, OpensOnFailureRateThenRecoversViaProbes)
 {
     ManualClock clock;
-    CircuitBreaker breaker(breakerConfig(), &clock, "test.breaker.a");
+    CircuitBreaker breaker(breakerConfig(), &clock);
 
     EXPECT_EQ(breaker.state(), BreakerState::Closed);
     EXPECT_TRUE(breaker.allowPrimary());
@@ -235,7 +235,7 @@ TEST(CircuitBreakerTest, OpensOnFailureRateThenRecoversViaProbes)
 TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens)
 {
     ManualClock clock;
-    CircuitBreaker breaker(breakerConfig(), &clock, "test.breaker.b");
+    CircuitBreaker breaker(breakerConfig(), &clock);
     breaker.recordFailure();
     breaker.recordFailure();
     ASSERT_EQ(breaker.state(), BreakerState::Open);
@@ -256,7 +256,7 @@ TEST(CircuitBreakerTest, SlidingWindowForgetsOldFailures)
     CircuitBreakerConfig cfg = breakerConfig();
     cfg.window = 4;
     cfg.min_samples = 4;
-    CircuitBreaker windowed(cfg, &clock, "test.breaker.c");
+    CircuitBreaker windowed(cfg, &clock);
     windowed.recordFailure();
     windowed.recordSuccess();
     windowed.recordSuccess();
@@ -273,7 +273,7 @@ TEST(CircuitBreakerTest, DisabledBreakerAlwaysAllows)
 {
     ManualClock clock;
     CircuitBreakerConfig cfg; // enabled = false
-    CircuitBreaker breaker(cfg, &clock, "test.breaker.e");
+    CircuitBreaker breaker(cfg, &clock);
     for (int i = 0; i < 32; ++i)
         breaker.recordFailure();
     EXPECT_TRUE(breaker.allowPrimary());
